@@ -53,12 +53,7 @@ def _emit(path, text: str) -> None:
 
 
 def cmd_validate(args) -> int:
-    doc = pfio.parse_payload(_read(args.pattern))
-    universe = [parse_term(v) for v in doc["universe"]]
-    le1 = [(parse_term(a), parse_term(b)) for a, b in doc.get("le1", ())]
-    le2 = [(parse_term(a), parse_term(b)) for a, b in doc.get("le2", ())]
-    le1 += [(x, x) for x in universe]
-    le2 += [(x, x) for x in universe]
+    universe, le1, le2 = pfio.pattern_parts(pfio.parse_payload(_read(args.pattern)))
     violations = validate_structure(universe, le1, le2)
     if not violations:
         print("ok")
@@ -210,9 +205,7 @@ def cmd_chains(args) -> int:
 def cmd_rule_test(args) -> int:
     rule = pfio.loads_rule(_read(args.rule))
     H = _load_hierarchy(args.hierarchy)
-    budget = Budget(
-        max_coverings=args.max_coverings, max_regressive_maps=args.max_phis
-    )
+    budget = Budget(max_coverings=args.max_coverings)
     verdict = test_cofinal_validity(rule.premise, rule.conclusion, H, budget)
     print(pfio.dumps_verdict(verdict), end="")
     return OK if verdict.valid else NEGATIVE
@@ -300,7 +293,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rule", required=True)
     p.add_argument("--hierarchy", required=True)
     p.add_argument("--max-coverings", type=int, default=None)
-    p.add_argument("--max-phis", type=int, default=None)
     p.set_defaults(fn=cmd_rule_test)
 
     p = sub.add_parser("export-dot", help="graph text for a pattern/hierarchy/core")

@@ -14,8 +14,8 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from .covering import search_coverings
-from .hierarchy import Hierarchy
-from .ordinals import ClosedSet, OrdinalTerm, ZERO, format_term, is_indecomposable
+from .hierarchy import Hierarchy, indecomposable_endpoints
+from .ordinals import ClosedSet, OrdinalTerm, ZERO, format_term, is_indecomposable, parts_closure
 from .patterns import Pattern, find_isomorphism, pointwise_le, validate_structure
 
 
@@ -88,8 +88,6 @@ def closed_subsets(
     max_elements: Optional[int] = None,
 ) -> List[Tuple[OrdinalTerm, ...]]:
     """All closed subsets of the carrier within the given bounds, sorted."""
-    from .ordinals import parts_closure
-
     seen = {(ZERO,)}
     frontier = [frozenset((ZERO,))]
     while frontier:
@@ -233,9 +231,7 @@ def is_pattern(S, H: Hierarchy) -> PatternDecision:
     for _ in search_coverings(P, H):
         return PatternDecision(True, "H-covered")
     detail = ""
-    if any(not is_indecomposable(a) for a, b in P.strict_le1()) or any(
-        not (is_indecomposable(a) and is_indecomposable(b)) for a, b in P.strict_le2()
-    ):
+    if any(not indecomposable_endpoints(k, a, b) for k in (1, 2) for a, b in P.rel(k) if a != b):
         detail = (
             "strict le1 needs an indecomposable left element and strict le2 "
             "indecomposable endpoints; no hierarchy realizes this structure"

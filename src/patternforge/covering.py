@@ -11,17 +11,19 @@ exceeds the bound of that old element's image.
 
 from __future__ import annotations
 
+import itertools
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
-from .embedding import SearchLimits, SourceSpec, search_embeddings
+from .embedding import SearchLimits, SourceSpec, derive_indec_pins, search_embeddings
 from .hierarchy import Hierarchy
 from .ordinals import (
     ClosedSet,
     OrdinalTerm,
     format_term,
+    induced_embedding,
     is_indecomposable,
-    summands,
 )
 from .patterns import Pattern, is_closed_substructure
 
@@ -104,35 +106,25 @@ class RegressiveMap:
         indecomposable is bounded by its carrier predecessor.  It dominates
         every other regressive map on the same domain."""
         carrier = h.target.carrier.elements
-        bounds = {}
-        for xi in h.range_indecomposables():
-            below = [c for c in carrier if c < xi]
-            bounds[xi] = below[-1]
-        return RegressiveMap(bounds)
+        return RegressiveMap(
+            {xi: carrier[bisect_left(carrier, xi) - 1] for xi in h.range_indecomposables()}
+        )
 
 
 def regressive_maps(h: Covering) -> Iterator[RegressiveMap]:
     """All regressive maps on the covering's range indecomposables, the
     pointwise-maximal one first, then the rest in ascending lexicographic
     order of their bound tuples."""
+    first = RegressiveMap.maximal(h)
+    yield first
+    # the remaining maps are built only when a consumer asks past the first
     domain = h.range_indecomposables()
     carrier = h.target.carrier.elements
     choices = [[c for c in carrier if c < xi] for xi in domain]
-    maximal = tuple(ch[-1] for ch in choices)
-    yield RegressiveMap(dict(zip(domain, maximal)))
-
-    def rec(i, acc):
-        if i == len(domain):
-            tup = tuple(acc)
-            if tup != maximal:
-                yield RegressiveMap(dict(zip(domain, tup)))
-            return
-        for c in choices[i]:
-            acc.append(c)
-            yield from rec(i + 1, acc)
-            acc.pop()
-
-    yield from rec(0, [])
+    maximal = tuple(b for _, b in first.bounds)
+    for bounds in itertools.product(*choices):
+        if bounds != maximal:
+            yield RegressiveMap(dict(zip(domain, bounds)))
 
 
 def is_covering(h: Mapping[OrdinalTerm, OrdinalTerm] | Covering, P: Pattern, H: Hierarchy) -> bool:
@@ -144,19 +136,13 @@ def is_covering(h: Mapping[OrdinalTerm, OrdinalTerm] | Covering, P: Pattern, H: 
     carrier = H.carrier.as_set()
     if any(v not in carrier for v in mapping.values()):
         return False
-    # arithmetic: the map must be the extension of its indecomposable part
-    for x in universe:
-        img = mapping[x]
-        xs, ys = summands(x), summands(img)
-        if len(xs) != len(ys):
+    # arithmetic: the map must be the extension of its indecomposable part,
+    # which must send indecomposables strictly increasingly to indecomposables
+    indec_part = {i: mapping[i] for i in P.universe.indecomposables}
+    try:
+        if induced_embedding(indec_part, universe) != mapping:
             return False
-        if any(mapping.get(s) != t for s, t in zip(xs, ys)):
-            return False
-    indecs = [x for x in universe if is_indecomposable(x)]
-    for a, b in zip(indecs, indecs[1:]):
-        if not mapping[a] < mapping[b]:
-            return False
-    if any(not is_indecomposable(mapping[i]) for i in indecs):
+    except ValueError:
         return False
     # closed range inside the carrier
     try:
@@ -185,8 +171,6 @@ def search_coverings(
     indecomposable images strictly above the given terms.  Unsatisfiable
     constraints produce an empty stream.
     """
-    from .embedding import derive_indec_pins
-
     pins = derive_indec_pins(dict(fixed)) if fixed else {}
     if pins is None:
         return
@@ -197,28 +181,28 @@ def search_coverings(
         yield Covering.from_map(P, H, assignment)
 
 
-def _applicable_bound(
-    P: Pattern, h: Covering, phi: RegressiveMap, b: OrdinalTerm
-) -> Optional[OrdinalTerm]:
-    """The regressive bound governing a fresh indecomposable b, if any.
+def _fresh_floors(
+    P: Pattern, Pplus: Pattern, h: Covering, phi: RegressiveMap
+) -> Dict[OrdinalTerm, OrdinalTerm]:
+    """The regressive bound each governed fresh indecomposable b of Pplus must
+    exceed.
 
     b is governed by an indecomposable a of P when b sits strictly between
-    everything of P below a and a itself; at most one such a exists.
+    everything of P below a and a itself; at most one such a exists, and the
+    bound is phi at h(a).
     """
-    bounds = phi.as_dict()
-    hmap = h.as_dict()
-    for a in P.universe:
-        if is_indecomposable(a) and b < a:
-            below = [x for x in P.universe.elements if x < a]
-            if all(x < b for x in below):
-                img = hmap[a]
-                if img not in bounds:
-                    raise ValueError(
-                        f"regressive map lacks a bound for {format_term(img)}"
-                    )
-                return bounds[img]
-            return None
-    return None
+    bounds, hmap = phi.as_dict(), h.as_dict()
+    floors = {}
+    for b in Pplus.universe:
+        if not is_indecomposable(b) or b in P.universe:
+            continue
+        a = next((a for a in P.universe if is_indecomposable(a) and b < a), None)
+        if a is None or any(not x < b for x in P.universe if x < a):
+            continue
+        if hmap[a] not in bounds:
+            raise ValueError(f"regressive map lacks a bound for {format_term(hmap[a])}")
+        floors[b] = bounds[hmap[a]]
+    return floors
 
 
 def extends_above(hplus: Covering, h: Covering, phi: RegressiveMap) -> bool:
@@ -231,16 +215,7 @@ def extends_above(hplus: Covering, h: Covering, phi: RegressiveMap) -> bool:
     for x in P.universe:
         if hpmap.get(x) != hmap[x]:
             raise ValueError("coverings disagree on the common universe")
-    new_indecs = [
-        b
-        for b in Pplus.universe
-        if is_indecomposable(b) and b not in P.universe.as_set()
-    ]
-    for b in new_indecs:
-        bound = _applicable_bound(P, h, phi, b)
-        if bound is not None and not hpmap[b] > bound:
-            return False
-    return True
+    return all(hpmap[b] > bound for b, bound in _fresh_floors(P, Pplus, h, phi).items())
 
 
 def extend_covering(
@@ -253,12 +228,7 @@ def extend_covering(
         raise ValueError("P must be a closed substructure of Pplus")
     if h.source != P:
         raise ValueError("h must be a covering of P")
-    floors = {}
-    for b in Pplus.universe:
-        if is_indecomposable(b) and b not in P.universe.as_set():
-            bound = _applicable_bound(P, h, phi, b)
-            if bound is not None:
-                floors[b] = bound
+    floors = _fresh_floors(P, Pplus, h, phi)
     for cov in search_coverings(Pplus, h.target, fixed=h.as_dict(), lower_bounds=floors):
         return cov
     return None
@@ -269,7 +239,6 @@ class Budget:
     """Enumeration caps for cofinal-validity testing; None means exhaustive."""
 
     max_coverings: Optional[int] = None
-    max_regressive_maps: Optional[int] = None
 
 
 @dataclass(frozen=True)
@@ -288,29 +257,17 @@ def test_cofinal_validity(
     """Probe the rule P | Pplus: every covering of P must extend above every
     regressive bound.
 
-    Regressive maps are tried maximal-first; an extension above the
-    pointwise-maximal map is above every other, so the sweep stops there.
-    The first (covering, bound) pair with no extension is returned as a
-    counterexample.
+    Only the pointwise-maximal regressive map, the first one regressive_maps
+    yields, is tried per covering: an extension above it is above every
+    other map, and a covering with no extension above it is a
+    counterexample.  The first such (covering, bound) pair is returned.
     """
     if not is_closed_substructure(P, Pplus):
         raise ValueError("P must be a closed substructure of Pplus")
     checked = 0
-    for h in search_coverings(P, H):
-        if budget.max_coverings is not None and checked >= budget.max_coverings:
-            break
+    for h in itertools.islice(search_coverings(P, H), budget.max_coverings):
         checked += 1
-        tried = 0
-        for phi in regressive_maps(h):
-            if (
-                budget.max_regressive_maps is not None
-                and tried >= budget.max_regressive_maps
-            ):
-                break
-            tried += 1
-            ext = extend_covering(P, Pplus, h, phi)
-            if ext is None:
-                return CofinalVerdict(False, checked, (h, phi))
-            if tried == 1:
-                break  # maximal bound succeeded; dominance covers the rest
+        phi = next(regressive_maps(h))
+        if extend_covering(P, Pplus, h, phi) is None:
+            return CofinalVerdict(False, checked, (h, phi))
     return CofinalVerdict(True, checked, None)

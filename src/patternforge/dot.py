@@ -12,7 +12,7 @@ from typing import Iterable, Set, Tuple, Union
 from .cores import Core
 from .hierarchy import Hierarchy
 from .ordinals import OrdinalTerm, format_term
-from .patterns import Pattern
+from .patterns import Pattern, restrict_relation
 
 Pair = Tuple[OrdinalTerm, OrdinalTerm]
 
@@ -39,8 +39,8 @@ def export_dot(obj: Union[Pattern, Hierarchy, Core], sugar: bool = False) -> str
         name = "core"
         nodes = obj.members
         keep = set(nodes)
-        le1 = {(a, b) for a, b in obj.host.le1 if a in keep and b in keep}
-        le2 = {(a, b) for a, b in obj.host.le2 if a in keep and b in keep}
+        le1 = restrict_relation(obj.host.le1, keep)
+        le2 = restrict_relation(obj.host.le2, keep)
     else:
         raise TypeError(f"cannot render {type(obj).__name__}")
 

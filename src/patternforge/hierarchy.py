@@ -21,10 +21,12 @@ challenge containing a decomposable alpha pins alpha's parts and forces the
 embedding to send alpha to itself, outside the open segment.
 
 Pruning only ever shrinks the relations, so iterating the game plus the
-structural clauses (inclusion, strict-indecomposability, respect,
-transitivity) from the full order reaches a fixed point within |carrier|^2
-rounds.  Rounds evaluate all pairs against an immutable snapshot, so the
-result is independent of evaluation order and bit-exact across rebuilds.
+structural clauses from the full order reaches a fixed point within
+|carrier|^2 rounds.  The structural clauses are the order and respect clauses
+of patterns.order_clause_failures, the same definition pattern validation
+uses, plus strict-pair indecomposability (indecomposable_endpoints).
+Rounds evaluate all pairs against an immutable snapshot, so the result is
+independent of evaluation order and bit-exact across rebuilds.
 """
 
 from __future__ import annotations
@@ -40,7 +42,9 @@ from .ordinals import (
     format_term,
     is_indecomposable,
     parts_closure,
+    summands,
 )
+from .patterns import Pattern, induced_pattern, order_clause_failures, restrict_relation
 
 Pair = Tuple[OrdinalTerm, OrdinalTerm]
 
@@ -91,20 +95,9 @@ class Hierarchy:
             le2=self.le2,
         )
 
-    def restrict_pattern(self, subset: Iterable[OrdinalTerm]):
+    def restrict_pattern(self, subset: Iterable[OrdinalTerm]) -> Pattern:
         """The pattern induced on a closed subset of the carrier."""
-        from .patterns import Pattern
-
-        sub = ClosedSet(subset)
-        keep = sub.as_set()
-        for x in sub:
-            if x not in self.carrier:
-                raise ValueError(f"{format_term(x)} is not a carrier element")
-        return Pattern(
-            sub,
-            ((a, b) for a, b in self.le1 if a in keep and b in keep),
-            ((a, b) for a, b in self.le2 if a in keep and b in keep),
-        )
+        return induced_pattern(subset, self.carrier, self.le1, self.le2)
 
 
 # ---------------------------------------------------------------------------
@@ -129,13 +122,9 @@ def _restricted_source(elements, rel1, rel2) -> SourceSpec:
     eset = set(elements)
     return SourceSpec(
         elements=tuple(sorted(eset)),
-        le1=frozenset(p for p in rel1 if p[0] in eset and p[1] in eset),
-        le2=frozenset(p for p in rel2 if p[0] in eset and p[1] in eset),
+        le1=restrict_relation(rel1, eset),
+        le2=restrict_relation(rel2, eset),
     )
-
-
-def _summand_terms(x: OrdinalTerm):
-    return tuple(OrdinalTerm((g,)) for g in x.exponents)
 
 
 def game_pass(
@@ -171,7 +160,7 @@ def game_pass(
     pins = {}
     for x in source.elements:
         if x < alpha:
-            for s in _summand_terms(x):
+            for s in summands(x):
                 pins[s] = s
     limits = SearchLimits(pinned=pins, ceiling=alpha, moved_floor=moved_floor)
     if k == 1:
@@ -184,7 +173,7 @@ def game_pass(
     for h in search_embeddings(source, target, limits):
         back_pins = {}
         for x in source.elements:
-            for sx, simg in zip(_summand_terms(x), _summand_terms(h[x])):
+            for sx, simg in zip(summands(x), summands(h[x])):
                 back_pins[simg] = sx
         back_limits = SearchLimits(pinned=back_pins, ceiling=beta)
         if first_embedding(back_source, target, back_limits) is not None:
@@ -197,40 +186,33 @@ def game_pass(
 # ---------------------------------------------------------------------------
 
 
+def indecomposable_endpoints(k: int, a: OrdinalTerm, b: OrdinalTerm) -> bool:
+    """Strict-pair indecomposability: a strict le1 pair needs an indecomposable
+    left element, a strict le2 pair two indecomposable endpoints."""
+    return is_indecomposable(a) and (k == 1 or is_indecomposable(b))
+
+
 def _structural_pass(carrier: ClosedSet, rel1: set, rel2: set) -> Tuple[int, int]:
-    """Restore inclusion, strict-indecomposability, respect and transitivity
-    by simultaneous removals, iterated to stability."""
+    """Restore strict-pair indecomposability and the order and respect clauses
+    by simultaneous removals, iterated to stability.  Each failed clause drops
+    the pair it blames; inside the term order antisymmetry cannot fail."""
     removed1 = removed2 = 0
-    elems = carrier.elements
     while True:
-        drop1 = set()
-        drop2 = {p for p in rel2 if p not in rel1}
-        drop1 |= {(a, b) for a, b in rel1 if a != b and not is_indecomposable(a)}
-        drop2 |= {
-            (a, b)
-            for a, b in rel2
-            if a != b and not (is_indecomposable(a) and is_indecomposable(b))
+        drop = {
+            k: {p for p in rel if p[0] != p[1] and not indecomposable_endpoints(k, *p)}
+            for k, rel in ((1, rel1), (2, rel2))
         }
-        for a, c in rel1:
-            if a != c and any(a < b < c and (a, b) not in rel1 for b in elems):
-                drop1.add((a, c))
-        for a, c in rel2:
-            if a != c and any(
-                (a, b) in rel1 and (b, c) in rel1 and (a, b) not in rel2 for b in elems
-            ):
-                drop2.add((a, c))
-        for a, b in rel1:
-            if any((b, c) in rel1 and (a, c) not in rel1 for c in elems):
-                drop1.add((a, b))
-        for a, b in rel2:
-            if any((b, c) in rel2 and (a, c) not in rel2 for c in elems):
-                drop2.add((a, b))
-        if not drop1 and not drop2:
+        for clause, k, w in order_clause_failures(carrier.elements, rel1, rel2):
+            if clause == "respect":
+                drop[k].add((w[0], w[2]))
+            elif clause != "antisymmetric":
+                drop[k].add(w[:2])
+        if not drop[1] and not drop[2]:
             return removed1, removed2
-        rel1 -= drop1
-        rel2 -= drop2
-        removed1 += len(drop1)
-        removed2 += len(drop2)
+        rel1 -= drop[1]
+        rel2 -= drop[2]
+        removed1 += len(drop[1])
+        removed2 += len(drop[2])
 
 
 def _game_round(
@@ -342,9 +324,18 @@ class AxiomReport:
         return not (self.order_violations or self.respect_violations or self.top_violations)
 
 
+_AXIOM_MESSAGES = {
+    "antisymmetric": "(b) le{k} not antisymmetric at {w}",
+    "transitive": "(b) le{k} not transitive at {w}",
+    "inclusion": "(b) le2 pair {w} missing from le1",
+    "term order": "(b) le1 pair {w} against the term order",
+    "respect": "(c) le{k} skips {w}",
+}
+
+
 def check_hierarchy_axioms(H: Hierarchy, window: int = 1) -> AxiomReport:
     elems = H.carrier.elements
-    eset = set(elems)
+    eset = H.carrier.as_set()
     order: List[str] = []
     respect: List[str] = []
     top: List[str] = []
@@ -353,43 +344,16 @@ def check_hierarchy_axioms(H: Hierarchy, window: int = 1) -> AxiomReport:
         for x in elems:
             if (x, x) not in rel:
                 order.append(f"(b) {name} not reflexive at {format_term(x)}")
-        for a, b in sorted(rel):
-            if a not in eset or b not in eset:
-                order.append(
-                    f"(b) {name} pair outside carrier ({format_term(a)}, {format_term(b)})"
-                )
-            elif a != b and (b, a) in rel and a < b:
-                order.append(
-                    f"(b) {name} not antisymmetric at ({format_term(a)}, {format_term(b)})"
-                )
-        for a, b in sorted(rel):
-            for c in elems:
-                if (b, c) in rel and (a, c) not in rel:
-                    order.append(
-                        f"(b) {name} not transitive at "
-                        f"({format_term(a)}, {format_term(b)}, {format_term(c)})"
-                    )
-    for a, b in sorted(H.le2):
-        if (a, b) not in H.le1:
-            order.append(f"(b) le2 pair ({format_term(a)}, {format_term(b)}) missing from le1")
-    for a, b in sorted(H.le1):
-        if not a <= b:
+        for a, b in sorted(rel - restrict_relation(rel, eset)):
             order.append(
-                f"(b) le1 pair ({format_term(a)}, {format_term(b)}) against the term order"
+                f"(b) {name} pair outside carrier ({format_term(a)}, {format_term(b)})"
             )
-
-    for a, c in sorted(H.le1):
-        for b in elems:
-            if a <= b <= c and (a, b) not in H.le1:
-                respect.append(
-                    f"(c) le1 skips ({format_term(a)}, {format_term(b)}, {format_term(c)})"
-                )
-    for a, c in sorted(H.le2):
-        for b in elems:
-            if (a, b) in H.le1 and (b, c) in H.le1 and (a, b) not in H.le2:
-                respect.append(
-                    f"(c) le2 skips ({format_term(a)}, {format_term(b)}, {format_term(c)})"
-                )
+    for clause, k, w in order_clause_failures(elems, H.le1, H.le2):
+        if clause == "antisymmetric" and not eset.issuperset(w):
+            continue  # both halves are already reported as outside the carrier
+        text = "(" + ", ".join(format_term(x) for x in w) + ")"
+        message = _AXIOM_MESSAGES[clause].format(k=k, w=text)
+        (respect if clause == "respect" else order).append(message)
 
     if not is_indecomposable(H.top):
         top.append(f"(d) top {format_term(H.top)} is not indecomposable")

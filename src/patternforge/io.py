@@ -15,7 +15,7 @@ import json
 from pathlib import Path
 from typing import Dict, Iterable, List, Mapping, Tuple, Union
 
-from .covering import CofinalVerdict, Covering
+from .covering import CofinalVerdict, Covering, is_covering
 from .cores import Core
 from .hierarchy import Hierarchy, RoundStats
 from .ordinals import ClosedSet, OrdinalTerm, format_term, parse_term
@@ -71,14 +71,20 @@ def pattern_doc(P: Pattern) -> Dict:
     }
 
 
-def pattern_from_doc(doc) -> Pattern:
+def pattern_parts(doc):
+    """The universe, le1 and le2 of a pattern document, parsed but not checked
+    against the pattern invariants."""
     try:
         universe = _terms(doc["universe"])
         le1 = _pairs(doc.get("le1", ()))
         le2 = _pairs(doc.get("le2", ()))
     except (KeyError, TypeError) as e:
         raise FormatError(f"bad pattern document: {e}") from e
-    return Pattern(universe, le1, le2)
+    return universe, le1, le2
+
+
+def pattern_from_doc(doc) -> Pattern:
+    return Pattern(*pattern_parts(doc))
 
 
 def dumps_pattern(P: Pattern) -> str:
@@ -178,6 +184,8 @@ def covering_doc(cov: Covering) -> Dict:
 def covering_from_doc(doc, H: Hierarchy) -> Covering:
     P = pattern_from_doc(doc["pattern"])
     assignment = {a: b for a, b in _pairs(doc["assignment"])}
+    if not is_covering(assignment, P, H):
+        raise FormatError("assignment is not a covering of its pattern in the hierarchy")
     return Covering.from_map(P, H, assignment)
 
 
@@ -273,6 +281,10 @@ def read_core(path: Union[str, Path], host: Hierarchy) -> Core:
     witness = []
     cache: Dict[str, Pattern] = {}
     for member, ref in doc["witnesses"]:
+        # only a plain file name: a core file names nothing outside its
+        # directory (no separator, hence no absolute path, and not . or ..)
+        if not isinstance(ref, str) or ref in ("", ".", "..") or "/" in ref or "\\" in ref:
+            raise FormatError(f"witness reference {ref!r} is not a plain file name")
         if ref not in cache:
             cache[ref] = loads_pattern((path.parent / ref).read_text())
         witness.append((parse_term(member), cache[ref]))

@@ -133,12 +133,6 @@ def split_parts(a: OrdinalTerm) -> Tuple[OrdinalTerm, ...]:
     return (OrdinalTerm(a.exponents[:-1]), OrdinalTerm((a.exponents[-1],)))
 
 
-def leading_summand(a: OrdinalTerm) -> OrdinalTerm:
-    if not a.exponents:
-        raise ValueError("0 has no leading summand")
-    return OrdinalTerm((a.exponents[0],))
-
-
 def summands(a: OrdinalTerm) -> Tuple[OrdinalTerm, ...]:
     """The indecomposable summands of a, leading first."""
     return tuple(OrdinalTerm((e,)) for e in a.exponents)
@@ -200,20 +194,13 @@ class ClosedSet:
 
 
 def closure(xs: Iterable[OrdinalTerm]) -> ClosedSet:
-    """Least closed superset of xs: add 0 and split summands to a fixed point."""
-    out = {ZERO}
-    stack = list(xs)
-    while stack:
-        x = stack.pop()
-        if x in out:
-            continue
-        out.add(x)
-        stack.extend(split_parts(x))
-    return ClosedSet(out)
+    """Least closed superset of xs."""
+    return ClosedSet(parts_closure(xs))
 
 
 def parts_closure(xs: Iterable[OrdinalTerm]) -> frozenset:
-    """closure() without the ClosedSet wrapping; used by internal reductions."""
+    """Least closed superset of xs as a plain frozenset: add 0 and split
+    summands to a fixed point."""
     out = {ZERO}
     stack = list(xs)
     while stack:

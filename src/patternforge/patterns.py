@@ -4,12 +4,16 @@ A pattern is a closed universe with two partial orders le1 and le2 such that
 le2 <= le1 <= the term order, and each relation respects the previous one:
 a le_{k-1} b le_{k-1} c together with a le_k c forces a le_k b.  The term
 order itself (le0) is implicit and never stored.
+
+These order and respect clauses are written once, in order_clause_failures;
+pattern validation, the hierarchy's structural pruning and axiom report, and
+rule completion all read their verdicts from it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
 from .ordinals import (
     ClosedSet,
@@ -50,6 +54,59 @@ def _normalize(universe, pairs) -> FrozenSet[Pair]:
     return frozenset(out)
 
 
+def restrict_relation(rel: Iterable[Pair], keep) -> FrozenSet[Pair]:
+    """The pairs of rel with both endpoints in the set keep."""
+    return frozenset(p for p in rel if p[0] in keep and p[1] in keep)
+
+
+def order_clause_failures(
+    elems: Sequence[OrdinalTerm], le1: AbstractSet[Pair], le2: AbstractSet[Pair]
+) -> Iterator[Tuple[str, int, Tuple[OrdinalTerm, ...]]]:
+    """Every failed order or respect clause of (le1, le2) over the ascending
+    elems, as (clause, k, witness), in this order (le1 before le2 in the
+    first two; witnesses ascend within a clause, pair first):
+
+      antisymmetric  k (a, b)     a < b, both (a, b) and (b, a) in le_k
+      transitive     k (a, b, c)  (a, b), (b, c) in le_k but not (a, c)
+      inclusion      2 (a, b)     (a, b) in le2 but not in le1
+      term order     1 (a, b)     (a, b) in le1 but not a <= b
+      respect        k (a, b, c)  (a, c) in le_k, a le_{k-1} b le_{k-1} c with
+                                  le0 the term order, but not (a, b)
+    """
+    sorted1, sorted2 = sorted(le1), sorted(le2)
+    for k, rel, pairs in ((1, le1, sorted1), (2, le2, sorted2)):
+        for a, b in pairs:
+            if (b, a) in rel and a < b:
+                yield "antisymmetric", k, (a, b)
+        for a, b in pairs:
+            for c in elems:
+                if (b, c) in rel and (a, c) not in rel:
+                    yield "transitive", k, (a, b, c)
+    for a, b in sorted2:
+        if (a, b) not in le1:
+            yield "inclusion", 2, (a, b)
+    for a, b in sorted1:
+        if not a <= b:
+            yield "term order", 1, (a, b)
+    for a, c in sorted1:
+        for b in elems:
+            if a <= b <= c and (a, b) not in le1:
+                yield "respect", 1, (a, b, c)
+    for a, c in sorted2:
+        for b in elems:
+            if (a, b) in le1 and (b, c) in le1 and (a, b) not in le2:
+                yield "respect", 2, (a, b, c)
+
+
+_VIOLATION_NAMES = {
+    "antisymmetric": "le{k} not antisymmetric",
+    "transitive": "le{k} not transitive",
+    "inclusion": "le2 not within le1",
+    "term order": "le1 not within the term order",
+    "respect": "le{k} does not respect le{j}",
+}
+
+
 def validate_structure(
     universe: Iterable[OrdinalTerm],
     le1: Iterable[Pair],
@@ -59,6 +116,7 @@ def validate_structure(
 
     Reflexive pairs are taken as implicitly present.  Returns all violated
     clauses, each with a witness pair or triple; an empty list means valid.
+    A respect failure is reported once per pair, with its least witness.
     """
     elems = sorted(set(universe))
     eset = frozenset(elems)
@@ -73,42 +131,19 @@ def validate_structure(
 
     r1 = _normalize(elems, le1)
     r2 = _normalize(elems, le2)
-    for name, rel in (("le1", r1), ("le2", r2)):
-        for a, b in sorted(rel):
-            if a not in eset or b not in eset:
-                out.append(Violation(f"{name} pair outside universe", (a, b)))
-    r1 = frozenset((a, b) for a, b in r1 if a in eset and b in eset)
-    r2 = frozenset((a, b) for a, b in r2 if a in eset and b in eset)
+    inside1 = restrict_relation(r1, eset)
+    inside2 = restrict_relation(r2, eset)
+    for name, rel, inside in (("le1", r1, inside1), ("le2", r2, inside2)):
+        for a, b in sorted(rel - inside):
+            out.append(Violation(f"{name} pair outside universe", (a, b)))
 
-    for name, rel in (("le1", r1), ("le2", r2)):
-        for a, b in sorted(rel):
-            if a != b and (b, a) in rel:
-                if a < b:
-                    out.append(Violation(f"{name} not antisymmetric", (a, b)))
-        for a, b in sorted(rel):
-            for c in elems:
-                if (b, c) in rel and (a, c) not in rel:
-                    out.append(Violation(f"{name} not transitive", (a, b, c)))
-
-    for a, b in sorted(r2):
-        if (a, b) not in r1:
-            out.append(Violation("le2 not within le1", (a, b)))
-    for a, b in sorted(r1):
-        if not a <= b:
-            out.append(Violation("le1 not within the term order", (a, b)))
-
-    # respect, k = 1: le0-between points of a le1 pair must be le1-reachable
-    for a, c in sorted(r1):
-        for b in elems:
-            if a <= b <= c and (a, b) not in r1:
-                out.append(Violation("le1 does not respect le0", (a, b, c)))
-                break
-    # respect, k = 2: le1-between points of a le2 pair must be le2-reachable
-    for a, c in sorted(r2):
-        for b in elems:
-            if (a, b) in r1 and (b, c) in r1 and (a, b) not in r2:
-                out.append(Violation("le2 does not respect le1", (a, b, c)))
-                break
+    reported = set()
+    for clause, k, w in order_clause_failures(elems, inside1, inside2):
+        if clause == "respect":
+            if (k, w[0], w[2]) in reported:
+                continue
+            reported.add((k, w[0], w[2]))
+        out.append(Violation(_VIOLATION_NAMES[clause].format(k=k, j=k - 1), w))
     return out
 
 
@@ -172,16 +207,19 @@ class Pattern:
 
     def restrict(self, subset: Iterable[OrdinalTerm]) -> "Pattern":
         """The induced substructure on a closed subset of the universe."""
-        sub = ClosedSet(subset)
-        for x in sub:
-            if x not in self.universe:
-                raise ValueError(f"{format_term(x)} is not in the universe")
-        keep = sub.as_set()
-        return Pattern(
-            sub,
-            ((a, b) for a, b in self.le1 if a in keep and b in keep),
-            ((a, b) for a, b in self.le2 if a in keep and b in keep),
-        )
+        return induced_pattern(subset, self.universe, self.le1, self.le2)
+
+
+def induced_pattern(
+    subset: Iterable[OrdinalTerm], universe: ClosedSet, le1: FrozenSet[Pair], le2: FrozenSet[Pair]
+) -> Pattern:
+    """The pattern that le1 and le2 induce on a closed subset of universe."""
+    sub = ClosedSet(subset)
+    for x in sub:
+        if x not in universe:
+            raise ValueError(f"{format_term(x)} is not in the universe")
+    keep = sub.as_set()
+    return Pattern(sub, restrict_relation(le1, keep), restrict_relation(le2, keep))
 
 
 def trivial_pattern(universe: Iterable[OrdinalTerm]) -> Pattern:
@@ -195,9 +233,7 @@ def is_closed_substructure(Q: Pattern, P: Pattern) -> bool:
     if not set(Q.universe.elements) <= set(P.universe.elements):
         return False
     keep = Q.universe.as_set()
-    r1 = frozenset((a, b) for a, b in P.le1 if a in keep and b in keep)
-    r2 = frozenset((a, b) for a, b in P.le2 if a in keep and b in keep)
-    return Q.le1 == r1 and Q.le2 == r2
+    return Q.le1 == restrict_relation(P.le1, keep) and Q.le2 == restrict_relation(P.le2, keep)
 
 
 def find_isomorphism(

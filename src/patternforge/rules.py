@@ -24,10 +24,11 @@ from .ordinals import (
     is_indecomposable,
     omega_power,
     parts_closure,
+    summands,
 )
-from .patterns import Pattern, is_closed_substructure
+from .patterns import Pattern, is_closed_substructure, order_clause_failures, restrict_relation
 
-VALID_KINDS = ("arith_ext", "reflect1_down", "reflect2_up", "generic")
+VALID_KINDS = ("arith_ext", "reflect1_down", "generic")
 
 
 @dataclass(frozen=True)
@@ -45,37 +46,24 @@ class RuleInstance:
 
 def _respect_transitive_completion(universe, le1: Set, le2: Set) -> Tuple[Set, Set]:
     """Least relation pair containing the given ones that is transitive and
-    respectful; grows the relations, never the universe."""
+    respectful, with le2 inside le1; grows the relations, never the universe.
+    Each failed clause adds the pair it misses, until none is missing."""
     elems = sorted(universe)
     le1 = set(le1) | {(x, x) for x in elems}
     le2 = set(le2) | {(x, x) for x in elems}
-    changed = True
-    while changed:
-        changed = False
-        add1 = set()
-        add2 = set()
-        for a, c in le1:
-            for b in elems:
-                if a <= b <= c and (a, b) not in le1:
-                    add1.add((a, b))
-        for a, b in le1:
-            for c in elems:
-                if (b, c) in le1 and (a, c) not in le1:
-                    add1.add((a, c))
-        for a, c in le2:
-            for b in elems:
-                if (a, b) in le1 and (b, c) in le1 and (a, b) not in le2:
-                    add2.add((a, b))
-        for a, b in le2:
-            for c in elems:
-                if (b, c) in le2 and (a, c) not in le2:
-                    add2.add((a, c))
-        if add1 or add2:
-            le1 |= add1
-            le2 |= add2
-            le1 |= le2
-            changed = True
-    return le1, le2
+    while True:
+        missing = {1: set(), 2: set()}
+        for clause, k, w in order_clause_failures(elems, le1, le2):
+            if clause == "transitive":
+                missing[k].add((w[0], w[2]))
+            elif clause == "respect":
+                missing[k].add(w[:2])
+            elif clause == "inclusion":
+                missing[1].add(w)
+        if not missing[1] and not missing[2]:
+            return le1, le2
+        le1 |= missing[1]
+        le2 |= missing[2]
 
 
 def make_arith_ext(P: Pattern, new_terms: Iterable[OrdinalTerm]) -> RuleInstance:
@@ -159,7 +147,7 @@ def make_reflect1_down(
     below_set = set(below_a)
     copied = sorted(parts_closure(X) - {ZERO} - below_set)
     moved_indecs = sorted(
-        {s for x in copied for s in _summand_set(x) if s not in below_set}
+        {s for x in copied for s in summands(x) if s not in below_set}
     )
     lo = max(below_a) if below_a else ZERO
     fresh = _fresh_indecomposables(
@@ -176,21 +164,12 @@ def make_reflect1_down(
         raise ValueError("no fresh indecomposable available in the term-order gap")
 
     new_universe = closure(set(P.universe.elements) | tilde)
-    le1 = set(P.le1)
-    le2 = set(P.le2)
-    for x in slice_elems:
-        for y in slice_elems:
-            if (x, y) in P.le1:
-                le1.add((image[x], image[y]))
-            if (x, y) in P.le2:
-                le2.add((image[x], image[y]))
+    keep = set(slice_elems)
+    le1 = set(P.le1) | {(image[x], image[y]) for x, y in restrict_relation(P.le1, keep)}
+    le2 = set(P.le2) | {(image[x], image[y]) for x, y in restrict_relation(P.le2, keep)}
     le1, le2 = _respect_transitive_completion(new_universe, le1, le2)
     conclusion = Pattern(new_universe, le1, le2)
     return RuleInstance(P, conclusion, "reflect1_down")
-
-
-def _summand_set(x: OrdinalTerm):
-    return {OrdinalTerm((g,)) for g in x.exponents}
 
 
 def make_generic(P: Pattern, Pplus: Pattern) -> RuleInstance:

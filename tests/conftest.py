@@ -2,6 +2,7 @@ import json
 from pathlib import Path
 
 import pytest
+from hypothesis import assume, strategies as st
 
 from patternforge import ClosedSet, build_hierarchy, closure, parse_term
 
@@ -114,3 +115,22 @@ def hierarchy_wide20():
 
 def load_golden(name):
     return json.loads((GOLDEN / name).read_text())
+
+
+FORGE_POOL = ["1", "2", "w", "w+1", "w+w", "w^(2)", "w^(2)+1", "w^(w)", "w^(w)+w"]
+
+
+@st.composite
+def forged_relations(draw, max_elements=7):
+    """A closed universe of at most max_elements terms with two random
+    relations inside the term order, each holding every reflexive pair."""
+    gens = draw(st.sets(st.sampled_from(FORGE_POOL), max_size=3))
+    universe = closure(parse_term(g) for g in gens)
+    assume(len(universe) <= max_elements)
+    refl = {(x, x) for x in universe}
+    strict = [(a, b) for a in universe for b in universe if a < b]
+    rels = []
+    for _ in range(2):
+        keep = draw(st.lists(st.booleans(), min_size=len(strict), max_size=len(strict)))
+        rels.append(refl | {p for p, k in zip(strict, keep) if k})
+    return universe, rels[0], rels[1]

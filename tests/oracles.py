@@ -6,7 +6,7 @@ shares search logic with the package.
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from patternforge import (
     ClosedSet,
@@ -56,6 +56,35 @@ def brute_validate(universe, le1, le2) -> bool:
             if (a, b) in r1 and (b, c) in r1 and (a, b) not in r2:
                 return False
     return True
+
+
+def brute_complete(universe, le1, le2):
+    """Least (le1, le2) holding the given pairs and every reflexive pair that
+    is transitive, respectful and has le2 inside le1: add one forced pair at a
+    time until no clause forces another."""
+    elems = sorted(set(universe))
+    r1 = set(le1) | {(x, x) for x in elems}
+    r2 = set(le2) | {(x, x) for x in elems}
+
+    def forced():
+        for a, b, c in product(elems, repeat=3):
+            if (a, b) in r2 and (a, b) not in r1:
+                return r1, (a, b)
+            for r in (r1, r2):
+                if (a, b) in r and (b, c) in r and (a, c) not in r:
+                    return r, (a, c)
+            if (a, c) in r1 and a <= b <= c and (a, b) not in r1:
+                return r1, (a, b)
+            if (a, c) in r2 and (a, b) in r1 and (b, c) in r1 and (a, b) not in r2:
+                return r2, (a, b)
+        return None
+
+    step = forced()
+    while step is not None:
+        rel, pair = step
+        rel.add(pair)
+        step = forced()
+    return r1, r2
 
 
 def covering_maps_bruteforce(P: Pattern, H: Hierarchy):

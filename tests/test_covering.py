@@ -323,6 +323,21 @@ def test_budget_caps_coverings(hierarchy_big):
     assert capped.coverings_checked == 0
 
 
+def test_maximal_bound_counterexample_has_no_budget_escape(hierarchy_big):
+    # the extension needs a fresh indecomposable above the image of 1, so the
+    # covering that sends 1 to the largest carrier indecomposable has none;
+    # no budget may skip the extension check that finds this
+    P = trivial_pattern([ONE])
+    Pplus = trivial_pattern([ONE, t("w^(w^(w))")])
+    verdict = cofinal_validity(P, Pplus, hierarchy_big)
+    assert not verdict.valid
+    h, phi = verdict.counterexample
+    assert phi == RegressiveMap.maximal(h)
+    assert extend_covering(P, Pplus, h, phi) is None
+    with pytest.raises(TypeError):
+        Budget(max_regressive_maps=0)
+
+
 def test_requires_substructure(hierarchy_big):
     with pytest.raises(ValueError):
         cofinal_validity(

@@ -15,8 +15,9 @@ from patternforge import (
 )
 from patternforge.hierarchy import game_pass, reduced_challenge
 from patternforge import io as pfio
-from conftest import SHIPPED, built, make_carrier
-from oracles import game_all_challenges
+from conftest import SHIPPED, built, forged_relations, make_carrier
+from hypothesis import given, settings
+from oracles import brute_validate, game_all_challenges
 
 
 def t(s):
@@ -349,6 +350,20 @@ def test_structural_strict_indecomposability_clause():
     _structural_pass(carrier, rel1, rel2)
     assert (OMEGA, w2) in rel1
     assert (OMEGA, w2) not in rel2
+
+
+@given(forged_relations())
+@settings(max_examples=150, deadline=None)
+def test_pruning_leaves_valid_indecomposable_relations(case):
+    from patternforge.hierarchy import _structural_pass
+
+    carrier, rel1, rel2 = case
+    _structural_pass(carrier, rel1, rel2)
+    assert brute_validate(carrier.elements, rel1, rel2)
+    for a, b in rel1:
+        assert a == b or is_indecomposable(a)
+    for a, b in rel2:
+        assert a == b or (is_indecomposable(a) and is_indecomposable(b))
 
 
 def test_top_may_equal_carrier_maximum():

@@ -16,7 +16,9 @@ from patternforge import (
     compute_core,
     export_dot,
     find_isomorphism,
+    format_term,
     parse_term,
+    search_coverings,
     trivial_pattern,
 )
 from patternforge import io as pfio
@@ -129,6 +131,40 @@ def test_core_rejects_wrong_host(tmp_path, hierarchy_big, hierarchy_one):
         pfio.read_core(path, hierarchy_one)
 
 
+def test_rule_kind_without_constructor_rejected():
+    from patternforge import make_generic
+
+    text = pfio.dumps_rule(make_generic(trivial_pattern([ONE]), trivial_pattern([ONE])))
+    with pytest.raises(ValueError):
+        pfio.loads_rule(text.replace('"generic"', '"reflect2_up"'))
+
+
+@pytest.mark.parametrize("image", ["w+w", "w^(5)"])
+def test_covering_loader_rejects_non_coverings(hierarchy_big, image):
+    # a decomposable image of an indecomposable, and an image outside the carrier
+    cov = next(search_coverings(trivial_pattern([ONE]), hierarchy_big))
+    doc = pfio.covering_doc(cov)
+    doc["assignment"] = [["0", "0"], ["w^(0)", format_term(t(image))]]
+    with pytest.raises(pfio.FormatError):
+        pfio.loads_covering(pfio.render(doc), hierarchy_big)
+
+
+@pytest.mark.parametrize("where", ["parent", "absolute"])
+def test_core_witness_must_be_plain_file_name(tmp_path, hierarchy_big, where):
+    core_dir = tmp_path / "cores"
+    core_dir.mkdir()
+    path = core_dir / "big.core"
+    pfio.write_core(compute_core(hierarchy_big, 2), path)
+    outside = tmp_path / "outside.pattern"
+    outside.write_text(pfio.dumps_pattern(trivial_pattern([ONE])))
+    ref = "../outside.pattern" if where == "parent" else str(outside)
+    doc = pfio.parse_payload(path.read_text())
+    doc["witnesses"] = [[member, ref] for member, _ in doc["witnesses"]]
+    path.write_text(pfio.render(doc))
+    with pytest.raises(pfio.FormatError):
+        pfio.read_core(path, hierarchy_big)
+
+
 # -- dot export ------------------------------------------------------------------
 
 
@@ -225,6 +261,15 @@ def test_cli_validate_usage_error(workdir):
     assert res.returncode == 2
     res = run_cli(["validate", "missing.pattern"], workdir)
     assert res.returncode == 2
+
+
+def test_cli_validate_malformed_pair_is_usage_error(workdir):
+    # a relation entry that is not a pair is an input error, not a verdict
+    text = 'patternforge-v1\n{"universe": ["0", "w^(0)"], "le1": [5], "le2": []}\n'
+    (workdir / "malformed.pattern").write_text(text)
+    res = run_cli(["validate", "malformed.pattern"], workdir)
+    assert res.returncode == 2
+    assert "not a pair" in res.stderr
 
 
 def test_cli_build_deterministic(workdir):
@@ -366,6 +411,28 @@ def test_cli_rule_test(workdir, hierarchy_ladder):
     )
     assert res.returncode == 1
     assert '"counterexample"' in res.stdout
+
+
+def test_cli_rule_test_has_no_regressive_map_budget(workdir):
+    from patternforge import make_generic
+
+    rule = make_generic(trivial_pattern([ONE]), trivial_pattern([ONE, t("w^(w^(w))")]))
+    (workdir / "far.rule").write_text(pfio.dumps_rule(rule))
+    base = ["rule-test", "--rule", "far.rule", "--hierarchy", "big.hier"]
+    res = run_cli(base, workdir)
+    assert res.returncode == 1
+    assert '"counterexample"' in res.stdout
+    assert run_cli(base + ["--max-phis", "0"], workdir).returncode == 2
+
+
+def test_cli_rule_test_rejects_unknown_kind(workdir):
+    from patternforge import make_generic
+
+    text = pfio.dumps_rule(make_generic(trivial_pattern([ONE]), trivial_pattern([ONE])))
+    (workdir / "up.rule").write_text(text.replace('"generic"', '"reflect2_up"'))
+    res = run_cli(["rule-test", "--rule", "up.rule", "--hierarchy", "big.hier"], workdir)
+    assert res.returncode == 2
+    assert "unknown rule kind" in res.stderr
 
 
 def test_cli_export_dot(workdir):

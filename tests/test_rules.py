@@ -15,7 +15,9 @@ from patternforge import (
     validate_structure,
 )
 from patternforge.covering import test_cofinal_validity as cofinal_validity
-from conftest import built
+from conftest import built, forged_relations
+from hypothesis import given, settings
+from oracles import brute_complete
 
 
 def t(s):
@@ -205,3 +207,16 @@ def test_reflect_instance_vacuous_on_small_hierarchy(hierarchy_omega2):
     verdict = cofinal_validity(inst.premise, inst.conclusion, hierarchy_omega2)
     assert verdict.valid
     assert verdict.coverings_checked == 0
+
+
+# -- completion against an independent fixed point ------------------------------
+
+
+@given(forged_relations())
+@settings(max_examples=120, deadline=None)
+def test_completion_matches_brute_fixed_point(case):
+    from patternforge.rules import _respect_transitive_completion
+
+    universe, le1, le2 = case
+    got = _respect_transitive_completion(universe.elements, set(le1), set(le2))
+    assert got == brute_complete(universe.elements, le1, le2)
