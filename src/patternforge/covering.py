@@ -236,9 +236,17 @@ def extend_covering(
 
 @dataclass(frozen=True)
 class Budget:
-    """Enumeration caps for cofinal-validity testing; None means exhaustive."""
+    """Enumeration caps for cofinal-validity testing; None means exhaustive.
+
+    A cap must allow at least one covering: a probe that checks none has
+    sampled nothing, yet would read as a valid verdict.
+    """
 
     max_coverings: Optional[int] = None
+
+    def __post_init__(self):
+        if self.max_coverings is not None and self.max_coverings < 1:
+            raise ValueError(f"max_coverings must be at least 1, not {self.max_coverings}")
 
 
 @dataclass(frozen=True)

@@ -10,14 +10,33 @@ the search has to check.
 
 Assignments are produced in lexicographic order of the indecomposable image
 tuple, which makes every consumer deterministic.
+
+The search runs on the carrier index (ordinals.CarrierIndex): an image is a
+carrier rank, a composite image is found by the ranks of its summands (a
+missing tuple is an image outside the carrier), and the ceiling and floors
+become rank bounds found once per search.  Each relation is held as bitset
+rows, one Python int per rank for the pairs leaving it and one for the pairs
+entering it, so preservation is a bit test per related pair; the pairs with
+elements already sent to their own rank (the pinned part of a game's
+challenge) take one mask test per row.  The target's rows are built once per
+(carrier, le1, le2) snapshot and memoized on the identity of those three
+objects in a small memo that holds them alive, so an id cannot be reused
+while its entry is live; only frozenset relations are memoized, since a
+mutable set can change between calls.  A source that uses the target's own
+relation objects and lies inside its carrier (every game the hierarchy
+plays) is searched on the target's ranks and rows directly; any other source
+(a pattern being covered) gets rows of its own, built once per search from
+its pairs.  Terms stay OrdinalTerm at the API: limits come in as terms and
+assignments go out as terms.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
 
-from .ordinals import OrdinalTerm, ZERO, is_indecomposable, summands
+from .ordinals import ClosedSet, OrdinalTerm, ZERO, is_indecomposable, summands
 
 Pair = Tuple[OrdinalTerm, OrdinalTerm]
 Assignment = Dict[OrdinalTerm, OrdinalTerm]
@@ -25,7 +44,8 @@ Assignment = Dict[OrdinalTerm, OrdinalTerm]
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """A finite closed element tuple (ascending) with its two relations."""
+    """A finite closed element tuple (ascending) with its two relations; only
+    the pairs between its elements are read, so the relations may be larger."""
 
     elements: Tuple[OrdinalTerm, ...]
     le1: FrozenSet[Pair]
@@ -34,10 +54,9 @@ class SourceSpec:
 
 @dataclass(frozen=True)
 class TargetSpec:
-    """Target carrier with relation membership sets."""
+    """Target carrier with its relations."""
 
-    carrier: FrozenSet[OrdinalTerm]
-    indecomposables: Tuple[OrdinalTerm, ...]
+    carrier: ClosedSet
     le1: FrozenSet[Pair]
     le2: FrozenSet[Pair]
 
@@ -78,102 +97,161 @@ def derive_indec_pins(
     return pins
 
 
+_ROWS_MEMO_SIZE = 8
+_rows_memo: Dict[Tuple[int, int, int], tuple] = {}
+
+
+def _rows(rank: Mapping, size: int, le1, le2) -> tuple:
+    """Bitset rows (out1, in1, out2, in2) of two relations over the elements
+    numbered by rank; pairs with an unnumbered endpoint are left out."""
+    rows = []
+    for rel in (le1, le2):
+        out, into = [0] * size, [0] * size
+        for a, b in rel:
+            ra, rb = rank.get(a), rank.get(b)
+            if ra is not None and rb is not None:
+                out[ra] |= 1 << rb
+                into[rb] |= 1 << ra
+        rows += (out, into)
+    return tuple(rows)
+
+
+def _target_rows(carrier: ClosedSet, le1, le2) -> tuple:
+    """The target's rows over carrier ranks, memoized per frozenset snapshot."""
+    if not (isinstance(le1, frozenset) and isinstance(le2, frozenset)):
+        return _rows(carrier.index.rank, len(carrier), le1, le2)
+    key = (id(carrier), id(le1), id(le2))
+    hit = _rows_memo.get(key)
+    if hit is None:
+        if len(_rows_memo) >= _ROWS_MEMO_SIZE:
+            del _rows_memo[next(iter(_rows_memo))]
+        # the entry keeps the three objects alive, so their ids stay theirs
+        hit = _rows_memo[key] = (carrier, le1, le2, _rows(carrier.index.rank, len(carrier), le1, le2))
+    return hit[3]
+
+
 def search_embeddings(
     source: SourceSpec, target: TargetSpec, limits: SearchLimits = SearchLimits()
 ) -> Iterator[Assignment]:
     """Yield every admissible embedding of source into target, smallest
     indecomposable images first."""
-    elements = source.elements
-    indecs = [x for x in elements if is_indecomposable(x)]
-    pinned = dict(limits.pinned)
+    pinned = limits.pinned
     for i, img in pinned.items():
         if not (is_indecomposable(i) and is_indecomposable(img)):
             return
+    carrier = target.carrier
+    index = carrier.index
+    tgt_elems = carrier.elements
+    tgt_rows = _target_rows(carrier, target.le1, target.le2)
 
-    # An element counts as fixed iff every one of its summands is pinned to
-    # itself; 0 (the empty sum) is always fixed.
-    def element_fixed(x: OrdinalTerm) -> bool:
-        return all(pinned.get(s) == s for s in summands(x))
+    # Source elements are numbered by ids: their carrier ranks when the
+    # source shares the target's relations and carrier, else their positions.
+    # sums[id] holds the ids of an element's summands, leading first.
+    elements = source.elements
+    ids = [index.rank.get(x) for x in elements]
+    shared = source.le1 is target.le1 and source.le2 is target.le2 and None not in ids
+    if shared:
+        sums, src_rows, keys = index.summands, tgt_rows, tgt_elems
+    else:
+        ids, keys = list(range(len(elements))), elements
+        pos = {x: p for p, x in enumerate(elements)}
+        sums = [tuple(pos[s] for s in summands(x)) for x in elements]
+        src_rows = _rows(pos, len(elements), source.le1, source.le2)
+    id_of = dict(zip(elements, ids))
+    by_summands = index.by_summands
 
-    by_leading: Dict[OrdinalTerm, list] = {}
-    for x in elements:
-        if x == ZERO:
-            continue
-        by_leading.setdefault(OrdinalTerm((x.exponents[0],)), []).append(x)
-    for group in by_leading.values():
-        group.sort()
+    indecs = [y for y in ids if len(sums[y]) == 1]
+    groups: Dict[int, list] = {i: [] for i in indecs}
+    for y in ids:
+        if sums[y]:
+            groups[sums[y][0]].append(y)  # ascending, the indecomposable first
 
-    ceiling = limits.ceiling
-    moved_floor = limits.moved_floor
-    tgt_indecs = target.indecomposables
+    pins: Dict[int, int] = {}
+    for i, img in pinned.items():
+        if i in id_of:
+            rank = index.rank.get(img)
+            if rank is None:
+                return  # the pinned image is outside the carrier
+            pins[id_of[i]] = rank
+    floors = {id_of[i]: index.at_most(f) for i, f in limits.indec_floors.items() if i in id_of}
+    ceiling = len(tgt_elems) if limits.ceiling is None else index.below(limits.ceiling)
+    moved_floor = 0
+    fixed: FrozenSet[int] = frozenset()
+    if limits.moved_floor is not None:
+        # an element is fixed iff each of its summands is pinned to itself
+        moved_floor = index.at_most(limits.moved_floor)
+        selfpinned = {id_of[i] for i, img in pinned.items() if i == img and i in id_of}
+        fixed = frozenset(y for y in ids if selfpinned.issuperset(sums[y]))
+    tgt_indecs = index.indecomposables
+    checks = tuple(zip(src_rows, tgt_rows))
 
-    chosen: Dict[OrdinalTerm, OrdinalTerm] = {}
-    images: Dict[OrdinalTerm, OrdinalTerm] = {}
+    image = [0] * len(keys)
     completed: list = []
+    # Completed ids split by their image: ``same`` holds those sent to their
+    # own rank (only when ids are ranks), whose pairs are checked by one mask
+    # test per row; ``moved`` holds the rest, checked one bit at a time.
+    same = moved = 0
 
-    def complete(x: OrdinalTerm) -> Optional[OrdinalTerm]:
-        image = OrdinalTerm(
-            tuple(chosen[OrdinalTerm((g,))].exponents[0] for g in x.exponents)
-        )
-        if image not in target.carrier:
+    def complete(x: int) -> Optional[int]:
+        r = by_summands.get(tuple([image[s] for s in sums[x]]))
+        if r is None or r >= ceiling:
             return None
-        if ceiling is not None and not image < ceiling:
+        if r < moved_floor and x not in fixed:
             return None
-        if moved_floor is not None and not element_fixed(x):
-            if not image > moved_floor:
+        for src, tgt in checks:
+            row = tgt[r]
+            if src[x] & same & ~row:
                 return None
-        for y in completed:
-            iy = images[y]
-            if (x, y) in source.le1 and (image, iy) not in target.le1:
-                return None
-            if (y, x) in source.le1 and (iy, image) not in target.le1:
-                return None
-            if (x, y) in source.le2 and (image, iy) not in target.le2:
-                return None
-            if (y, x) in source.le2 and (iy, image) not in target.le2:
-                return None
-        return image
+            related = src[x] & moved
+            while related:
+                low = related & -related
+                if not row >> image[low.bit_length() - 1] & 1:
+                    return None
+                related ^= low
+        return r
 
     def extend(j: int) -> Iterator[Assignment]:
+        nonlocal same, moved
         if j == len(indecs):
-            yield dict(images)
+            yield {keys[y]: tgt_elems[image[y]] for y in completed}
             return
         i = indecs[j]
-        prev = chosen[indecs[j - 1]] if j else None
-        floor = limits.indec_floors.get(i)
-        candidates = [pinned[i]] if i in pinned else tgt_indecs
+        lo = max(image[indecs[j - 1]] + 1 if j else 0, floors.get(i, 0))
+        if i in pins:
+            candidates = [pins[i]] if lo <= pins[i] < ceiling else []
+        else:
+            candidates = tgt_indecs[bisect_left(tgt_indecs, lo) : bisect_left(tgt_indecs, ceiling)]
         for mu in candidates:
-            if prev is not None and not mu > prev:
-                continue
-            if floor is not None and not mu > floor:
-                continue
-            if ceiling is not None and not mu < ceiling:
-                continue
-            if mu not in target.carrier:
-                continue
-            chosen[i] = mu
-            done = []
-            ok = True
-            for x in by_leading.get(i, ()):
-                image = complete(x)
-                if image is None:
-                    ok = False
+            image[i] = mu
+            placed = 0
+            for x in groups[i]:
+                r = complete(x)
+                if r is None:
                     break
-                images[x] = image
+                image[x] = r
                 completed.append(x)
-                done.append(x)
-            if ok:
+                if shared and r == x:
+                    same |= 1 << x
+                else:
+                    moved |= 1 << x
+                placed += 1
+            else:
                 yield from extend(j + 1)
-            for x in done:
-                completed.pop()
-                del images[x]
-            del chosen[i]
+            for _ in range(placed):
+                bit = ~(1 << completed.pop())
+                same &= bit
+                moved &= bit
 
-    if ZERO in elements:
-        if ceiling is not None and not ZERO < ceiling:
+    zero = id_of.get(ZERO)
+    if zero is not None:
+        if ceiling == 0:
             return
-        images[ZERO] = ZERO
-        completed.append(ZERO)
+        image[zero] = 0  # the carrier's rank of 0
+        completed.append(zero)
+        if shared:
+            same = 1 << zero
+        else:
+            moved = 1 << zero
     yield from extend(0)
 
 

@@ -27,10 +27,21 @@ of patterns.order_clause_failures, the same definition pattern validation
 uses, plus strict-pair indecomposability (indecomposable_endpoints).
 Rounds evaluate all pairs against an immutable snapshot, so the result is
 independent of evaluation order and bit-exact across rebuilds.
+
+The games run on the carrier's rank index (ClosedSet.index): the reduced
+challenge is cut out of the carrier by rank bounds and closed over the
+ranks of split parts, and the pins and the backward source are prefixes of
+the challenge and of the carrier.  Every game of a round hands the search
+the same snapshot frozensets, unrestricted, as both the challenge's and the
+carrier's relations, so the search reads the target's bitset rows for both
+and builds them once per round (see embedding).  Hierarchy.target_spec
+passes the built relations themselves, so all coverings into one hierarchy
+share one set of rows.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
@@ -42,7 +53,6 @@ from .ordinals import (
     format_term,
     is_indecomposable,
     parts_closure,
-    summands,
 )
 from .patterns import Pattern, induced_pattern, order_clause_failures, restrict_relation
 
@@ -88,12 +98,7 @@ class Hierarchy:
         return tuple(sorted((a, b) for a, b in self.rel(k) if a != b))
 
     def target_spec(self) -> TargetSpec:
-        return TargetSpec(
-            carrier=self.carrier.as_set(),
-            indecomposables=self.carrier.indecomposables,
-            le1=self.le1,
-            le2=self.le2,
-        )
+        return TargetSpec(carrier=self.carrier, le1=self.le1, le2=self.le2)
 
     def restrict_pattern(self, subset: Iterable[OrdinalTerm]) -> Pattern:
         """The pattern induced on a closed subset of the carrier."""
@@ -111,20 +116,19 @@ def reduced_challenge(
     """The dominant challenge for a pair: everything below beta, shedding the
     top `window` slice of the carrier below alpha except where closedness of
     the kept elements forces it back in."""
-    below_beta = [c for c in carrier if c < beta]
-    below_alpha = [c for c in below_beta if c < alpha]
-    zone = set(below_alpha[-window:]) if window > 0 else set()
-    kept = [c for c in below_beta if c not in zone]
-    return tuple(sorted(parts_closure(kept)))
-
-
-def _restricted_source(elements, rel1, rel2) -> SourceSpec:
-    eset = set(elements)
-    return SourceSpec(
-        elements=tuple(sorted(eset)),
-        le1=restrict_relation(rel1, eset),
-        le2=restrict_relation(rel2, eset),
-    )
+    index = carrier.index
+    b = index.below(beta)
+    a = min(index.below(alpha), b)
+    shed = max(a - window, 0) if window > 0 else a  # ranks shed..a-1 are the zone
+    parts = index.parts
+    kept = set(range(shed)) | set(range(a, b)) | {0}
+    stack = list(range(a, b))
+    while stack:
+        for p in parts[stack.pop()]:
+            if p not in kept:
+                kept.add(p)
+                stack.append(p)
+    return tuple(carrier.elements[r] for r in sorted(kept))
 
 
 def game_pass(
@@ -143,39 +147,42 @@ def game_pass(
     Only the dominant challenge needs checking: a witness for it restricts to
     a witness for every smaller challenge (the test suite verifies this
     against an oracle that sweeps all closed challenges).  Passing an explicit
-    challenge overrides the reduction; moved_floor additionally requires all
-    non-fixed witness images to lie strictly above it.
+    challenge, a closed subset of the carrier, overrides the reduction;
+    moved_floor additionally requires all non-fixed witness images to lie
+    strictly above it.
+
+    The challenge is searched with the snapshot relations themselves, not
+    their restriction to it: the search only asks about pairs of challenge
+    elements, and sharing the target's relation objects lets it use the
+    target's memoized rows.
     """
     if alpha == beta:
         return True
     if challenge is None:
-        challenge = reduced_challenge(carrier, alpha, beta, window)
-    source = _restricted_source(challenge, rel1, rel2)
-    target = TargetSpec(
-        carrier=carrier.as_set(),
-        indecomposables=carrier.indecomposables,
-        le1=rel1,
-        le2=rel2,
-    )
-    pins = {}
-    for x in source.elements:
-        if x < alpha:
-            for s in summands(x):
-                pins[s] = s
+        elements = reduced_challenge(carrier, alpha, beta, window)
+    else:
+        elements = tuple(sorted(set(challenge)))
+        if parts_closure(elements) != set(elements) or not carrier.as_set().issuperset(elements):
+            raise ValueError("a challenge must be a closed subset of the carrier")
+    source = SourceSpec(elements=elements, le1=rel1, le2=rel2)
+    target = TargetSpec(carrier=carrier, le1=rel1, le2=rel2)
+    # Carrier elements lie below alpha iff their ranks lie below a.  The
+    # challenge is closed, so the summands of its part below alpha are that
+    # part's indecomposables.
+    index = carrier.index
+    a = index.below(alpha)
+    below_alpha = elements[: bisect_left(elements, a, key=index.rank.__getitem__)]
+    pins = {x: x for x in below_alpha if is_indecomposable(x)}
     limits = SearchLimits(pinned=pins, ceiling=alpha, moved_floor=moved_floor)
     if k == 1:
         return first_embedding(source, target, limits) is not None
 
     # Two-round game: some forward witness must admit a backward map defined
     # on the whole carrier segment below alpha, inverting it on the challenge.
-    back_elems = tuple(c for c in carrier if c < alpha)
-    back_source = _restricted_source(back_elems, rel1, rel2)
+    back_source = SourceSpec(elements=carrier.elements[:a], le1=rel1, le2=rel2)
+    indecs = [x for x in elements if is_indecomposable(x)]
     for h in search_embeddings(source, target, limits):
-        back_pins = {}
-        for x in source.elements:
-            for sx, simg in zip(summands(x), summands(h[x])):
-                back_pins[simg] = sx
-        back_limits = SearchLimits(pinned=back_pins, ceiling=beta)
+        back_limits = SearchLimits(pinned={h[i]: i for i in indecs}, ceiling=beta)
         if first_embedding(back_source, target, back_limits) is not None:
             return True
     return False
@@ -221,10 +228,9 @@ def _game_round(
     """Prune every pair failing its game against the snapshot relations,
     visiting pairs in ascending (beta, alpha) order."""
     pruned1 = pruned2 = 0
-    for beta in carrier:
-        for alpha in carrier:
-            if not alpha < beta:
-                continue
+    elems = carrier.elements
+    for b, beta in enumerate(elems):
+        for alpha in elems[:b]:
             if (alpha, beta) in rel1 and not game_pass(1, alpha, beta, carrier, snap1, snap2):
                 rel1.discard((alpha, beta))
                 pruned1 += 1
@@ -244,12 +250,12 @@ def build_hierarchy(carrier: ClosedSet | Iterable[OrdinalTerm], top: OrdinalTerm
         carrier = ClosedSet(carrier)
     if not is_indecomposable(top):
         raise ValueError(f"top {format_term(top)} must be indecomposable")
-    if any(x > top for x in carrier):
+    elems = carrier.elements
+    if elems[-1] > top:
         raise ValueError("top must be at least every carrier element")
 
-    elems = carrier.elements
     n = len(elems)
-    rel1 = {(a, b) for a in elems for b in elems if a <= b}
+    rel1 = {(a, b) for i, a in enumerate(elems) for b in elems[i:]}
     rel2 = set(rel1)
     log: List[RoundStats] = []
     for _ in range(n * n):
@@ -300,7 +306,7 @@ def le_inf(
         raise ValueError("le_inf needs alpha <= beta")
     if not game_pass(k, alpha, beta, H.carrier, H.le1, H.le2):
         return False
-    thresholds = [c for c in H.carrier if c < alpha]
+    thresholds = H.carrier.elements[: H.carrier.index.below(alpha)]
     selected = thresholds[:-window] if window > 0 else thresholds
     return all(
         game_pass(k, alpha, beta, H.carrier, H.le1, H.le2, moved_floor=tau)

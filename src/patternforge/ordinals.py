@@ -10,6 +10,7 @@ Everything here is a pure function of immutable values.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 
@@ -138,11 +139,57 @@ def summands(a: OrdinalTerm) -> Tuple[OrdinalTerm, ...]:
     return tuple(OrdinalTerm((e,)) for e in a.exponents)
 
 
+class CarrierIndex:
+    """A closed set's elements by rank, 0..n-1 in ascending term order.
+
+    rank            term -> its rank
+    summands        per rank, the ranks of its summands, leading first
+    parts           per rank, the ranks of its split parts (remainder, last
+                    summand), empty for fewer than two summands
+    by_summands     summand-rank tuple -> rank of the element with those
+                    summands; a missing tuple is a term outside the set
+    indecomposables the ranks of the indecomposable elements, ascending
+
+    Closedness puts every part and every summand of an element in the set,
+    so all of these are ranks of the same set.
+    """
+
+    __slots__ = ("elements", "rank", "summands", "parts", "by_summands", "indecomposables")
+
+    def __init__(self, elements: Tuple[OrdinalTerm, ...]):
+        self.elements = elements
+        rank = {x: r for r, x in enumerate(elements)}
+        sums: list = []
+        parts: list = []
+        for r, x in enumerate(elements):
+            split = tuple(rank[p] for p in split_parts(x))
+            parts.append(split)
+            if split:  # the remainder is smaller, so its summands are known
+                sums.append(sums[split[0]] + (split[1],))
+            else:
+                sums.append((r,) if x.exponents else ())
+        self.rank = rank
+        self.summands = tuple(sums)
+        self.parts = tuple(parts)
+        self.by_summands = {s: r for r, s in enumerate(sums)}
+        self.indecomposables = tuple(r for r, s in enumerate(sums) if len(s) == 1)
+
+    def below(self, t: OrdinalTerm) -> int:
+        """The number of elements strictly below t."""
+        r = self.rank.get(t)
+        return bisect_left(self.elements, t) if r is None else r
+
+    def at_most(self, t: OrdinalTerm) -> int:
+        """The number of elements at most t."""
+        r = self.rank.get(t)
+        return bisect_right(self.elements, t) if r is None else r + 1
+
+
 class ClosedSet:
     """A finite term set containing 0 and closed under the remainder/last-summand
     split.  Iteration is always in ascending order."""
 
-    __slots__ = ("elements", "_set")
+    __slots__ = ("elements", "_set", "_index")
 
     def __init__(self, elements: Iterable[OrdinalTerm]):
         elems = sorted(set(elements))
@@ -157,6 +204,7 @@ class ClosedSet:
                     )
         object.__setattr__(self, "elements", tuple(elems))
         object.__setattr__(self, "_set", eset)
+        object.__setattr__(self, "_index", None)
 
     def __setattr__(self, name, value):
         raise AttributeError("ClosedSet is immutable")
@@ -191,6 +239,16 @@ class ClosedSet:
     @property
     def indecomposables(self) -> Tuple[OrdinalTerm, ...]:
         return tuple(x for x in self.elements if is_indecomposable(x))
+
+    @property
+    def index(self) -> CarrierIndex:
+        """The rank index of the elements, built on first use; the set is
+        immutable, so it never goes stale."""
+        index = self._index
+        if index is None:
+            index = CarrierIndex(self.elements)
+            object.__setattr__(self, "_index", index)
+        return index
 
 
 def closure(xs: Iterable[OrdinalTerm]) -> ClosedSet:
@@ -257,6 +315,8 @@ def induced_embedding(
 
 def parse_term(text: str) -> OrdinalTerm:
     """Parse an ordinal expression into its canonical term."""
+    if not isinstance(text, str):
+        raise TermSyntaxError(f"an ordinal expression must be a string, not {type(text).__name__}")
     s = "".join(text.split())
     if not s:
         raise TermSyntaxError("empty ordinal expression")

@@ -11,6 +11,7 @@ from itertools import combinations, product
 from patternforge import (
     ClosedSet,
     Hierarchy,
+    OrdinalTerm,
     Pattern,
     ZERO,
     is_covering,
@@ -102,6 +103,54 @@ def covering_maps_bruteforce(P: Pattern, H: Hierarchy):
         if is_covering(mapping, P, H):
             out.append(tuple(sorted(mapping.items())))
     return sorted(out)
+
+
+def brute_embeddings(source, target, limits):
+    """Every embedding of a SourceSpec into a TargetSpec under SearchLimits, in
+    lexicographic order of the indecomposable images, by trying each strictly
+    increasing choice of carrier indecomposables for the source's.
+
+    Each element's image replaces every summand w^g by the image of w^g.  A
+    choice is kept when every image lies in the carrier and below the
+    ceiling, pinned indecomposables go to their pins and floored ones above
+    their floors, every element with a summand not pinned to itself goes
+    above the moved floor, and every pair of distinct source elements in
+    source le1 (le2) goes to a pair in target le1 (le2).  A pin that is not
+    indecomposable on both sides admits nothing.
+    """
+    pinned, floors = dict(limits.pinned), dict(limits.indec_floors)
+    ceiling, moved_floor = limits.ceiling, limits.moved_floor
+    if not all(is_indecomposable(a) and is_indecomposable(b) for a, b in pinned.items()):
+        return []
+    elems = list(source.elements)
+    indecs = [x for x in elems if is_indecomposable(x)]
+    carrier = set(target.carrier)
+    moved = [x for x in elems if any(pinned.get(OrdinalTerm((g,))) != OrdinalTerm((g,)) for g in x.exponents)]
+    out = []
+    for choice in combinations(sorted(x for x in carrier if is_indecomposable(x)), len(indecs)):
+        f = dict(zip(indecs, choice))
+        if any(i in pinned and f[i] != pinned[i] for i in indecs):
+            continue
+        if any(i in floors and not f[i] > floors[i] for i in indecs):
+            continue
+        image = {
+            x: OrdinalTerm(tuple(f[OrdinalTerm((g,))].exponents[0] for g in x.exponents))
+            for x in elems
+        }
+        if any(y not in carrier for y in image.values()):
+            continue
+        if ceiling is not None and any(not y < ceiling for y in image.values()):
+            continue
+        if moved_floor is not None and any(not image[x] > moved_floor for x in moved):
+            continue
+        if any(
+            a != b and a in image and b in image and (image[a], image[b]) not in rel_t
+            for rel_s, rel_t in ((source.le1, target.le1), (source.le2, target.le2))
+            for a, b in rel_s
+        ):
+            continue
+        out.append(image)
+    return out
 
 
 def shape_signature(elements):

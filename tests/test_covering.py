@@ -318,9 +318,12 @@ def test_budget_caps_coverings(hierarchy_big):
     )
     unbudgeted = cofinal_validity(P, Pplus, hierarchy_big)
     assert not unbudgeted.valid
-    capped = cofinal_validity(P, Pplus, hierarchy_big, Budget(max_coverings=0))
-    assert capped.valid  # nothing checked under a zero budget
-    assert capped.coverings_checked == 0
+    # a budget that checks no covering would read as a valid verdict
+    for cap in (0, -1):
+        with pytest.raises(ValueError, match="at least 1"):
+            Budget(max_coverings=cap)
+    capped = cofinal_validity(P, Pplus, hierarchy_big, Budget(max_coverings=1))
+    assert capped.coverings_checked == 1
 
 
 def test_maximal_bound_counterexample_has_no_budget_escape(hierarchy_big):

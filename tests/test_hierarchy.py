@@ -189,6 +189,42 @@ def test_reduced_challenge_sheds_top_slice():
     assert ONE not in ch and set(ch) == {ZERO, OMEGA}
 
 
+def assert_reduced_challenges_match_terms(carrier):
+    # the rank computation against the definition on terms: everything below
+    # beta, minus the top window of the carrier below alpha, closed again
+    for beta in carrier:
+        for alpha in carrier:
+            for window in (0, 1, 2, 99):
+                below_alpha = [c for c in carrier if c < beta and c < alpha]
+                zone = set(below_alpha[-window:]) if window > 0 else set()
+                kept = [c for c in carrier if c < beta and c not in zone]
+                expected = tuple(sorted(closure(kept)))
+                assert reduced_challenge(carrier, alpha, beta, window) == expected
+
+
+@given(forged_relations(max_elements=9))
+@settings(max_examples=100, deadline=None)
+def test_reduced_challenge_matches_term_definition(case):
+    assert_reduced_challenges_match_terms(case[0])
+
+
+@pytest.mark.parametrize("gens", [["w+3"], ["w^(2)+w+2", "w+w+1"], ["w^(w)+w^(2)+w"]])
+def test_reduced_challenge_closes_nested_parts(gens):
+    # a kept element whose part, and that part's part, both sit in the zone
+    assert_reduced_challenges_match_terms(closure(t(g) for g in gens))
+
+
+@pytest.mark.parametrize("challenge", [["w+1"], ["0", "1", "w+1"], ["0", "w^(5)"]])
+def test_explicit_challenge_must_be_closed_in_carrier(hierarchy_big, challenge):
+    # an explicit challenge missing a part, or reaching outside the carrier,
+    # is bad input rather than a game to win
+    H = hierarchy_big
+    for k in (1, 2):
+        with pytest.raises(ValueError, match="closed subset of the carrier"):
+            game_pass(k, OMEGA, t("w^(2)"), H.carrier, H.le1, H.le2,
+                      challenge=[t(c) for c in challenge])
+
+
 # -- le_inf ---------------------------------------------------------------------
 
 

@@ -272,6 +272,14 @@ def test_cli_validate_malformed_pair_is_usage_error(workdir):
     assert "not a pair" in res.stderr
 
 
+def test_cli_validate_non_string_term_is_usage_error(workdir):
+    text = 'patternforge-v1\n{"universe": ["0", 5], "le1": [], "le2": []}\n'
+    (workdir / "numeric.pattern").write_text(text)
+    res = run_cli(["validate", "numeric.pattern"], workdir)
+    assert res.returncode == 2
+    assert "must be a string" in res.stderr
+
+
 def test_cli_build_deterministic(workdir):
     r1 = run_cli(
         ["build", "--carrier", "big.carrier", "--top", "w^(3)", "--out", "h1.hier"],
@@ -423,6 +431,18 @@ def test_cli_rule_test_has_no_regressive_map_budget(workdir):
     assert res.returncode == 1
     assert '"counterexample"' in res.stdout
     assert run_cli(base + ["--max-phis", "0"], workdir).returncode == 2
+
+
+def test_cli_rule_test_rejects_zero_covering_budget(workdir):
+    from patternforge import make_generic
+
+    rule = make_generic(trivial_pattern([ONE]), trivial_pattern([ONE, t("w^(w^(w))")]))
+    (workdir / "far.rule").write_text(pfio.dumps_rule(rule))
+    base = ["rule-test", "--rule", "far.rule", "--hierarchy", "big.hier"]
+    res = run_cli(base + ["--max-coverings", "0"], workdir)
+    assert res.returncode == 2
+    assert "valid-on-sample" not in res.stdout
+    assert "max_coverings must be at least 1" in res.stderr
 
 
 def test_cli_rule_test_rejects_unknown_kind(workdir):

@@ -66,6 +66,13 @@ def test_parse_syntax_errors(bad):
         t(bad)
 
 
+@pytest.mark.parametrize("bad", [5, None, ["w"], b"w"])
+def test_parse_rejects_non_string(bad):
+    # a JSON value of the wrong type is bad input, not a crash
+    with pytest.raises(TermSyntaxError, match="must be a string"):
+        t(bad)
+
+
 def test_parse_rejects_noncanonical_exponent():
     with pytest.raises(NonCanonicalTermError):
         t("w^(1+w)")
