@@ -31,6 +31,7 @@ from .patterns import (
     covers,
     find_isomorphism,
     is_closed_substructure,
+    isomorphism_type,
     pointwise_comparison,
     pointwise_le,
     trivial_pattern,

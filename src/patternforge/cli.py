@@ -1,8 +1,7 @@
 """Batch command-line front end.
 
 Exit codes: 0 success or affirmative result, 1 well-formed negative result,
-2 usage or input error.  Every subcommand is deterministic for fixed inputs;
---seed is accepted for workflow compatibility and affects nothing.
+2 usage or input error.  Every subcommand is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -237,7 +236,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="patternforge",
         description="finite resemblance patterns over Cantor-normal-form ordinals",
     )
-    parser.add_argument("--seed", type=int, default=0, help="ignored; no randomness")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("validate", help="check a pattern file")

@@ -4,7 +4,9 @@ pattern characterization check, and le2 chain extraction.
 The realization of a coverable pattern is the pointwise-least closed
 substructure of the hierarchy that covers it; the core is the union of those
 realizations over every pattern with at most a bounded number of
-indecomposables.  Two cores compare positionally: member i maps to member i
+indecomposables, counted up to isomorphism: each class is keyed by
+patterns.isomorphism_type, one key and one dict lookup per closed subset
+of the host.  Two cores compare positionally: member i maps to member i
 and the witness isomorphism types must agree.
 """
 
@@ -16,7 +18,7 @@ from typing import Dict, List, Optional, Tuple
 from .covering import search_coverings
 from .hierarchy import Hierarchy, indecomposable_endpoints
 from .ordinals import ClosedSet, OrdinalTerm, ZERO, format_term, is_indecomposable, parts_closure
-from .patterns import Pattern, find_isomorphism, pointwise_le, validate_structure
+from .patterns import Pattern, find_isomorphism, isomorphism_type, pointwise_le, validate_structure
 
 
 @dataclass(frozen=True)
@@ -113,50 +115,29 @@ def closed_subsets(
     return sorted(seen)
 
 
-def _pattern_sort_key(P: Pattern):
-    return (
-        len(P.indecomposables),
-        P.universe.elements,
-        P.strict_le1(),
-        P.strict_le2(),
-    )
-
-
 def compute_core(H: Hierarchy, size_bound: int) -> Core:
     """Enumerate the coverable pattern family through the host's own closed
     substructures (every closed substructure is covered by its identity
     embedding, and every coverable pattern is isomorphic to one), dedupe up
-    to isomorphism, and union the isominimal realizations."""
+    to isomorphism, and union the isominimal realizations.  A class is keyed by
+    isomorphism_type and represented by its first closed subset in the order
+    (indecomposable count, elements); only representatives become patterns."""
     if size_bound < 1:
         raise ValueError("size_bound must be at least 1")
-    candidates = [
-        H.restrict_pattern(subset)
-        for subset in closed_subsets(H.carrier, max_indecomposables=size_bound)
-    ]
-    candidates.sort(key=_pattern_sort_key)
-    classes: List[Pattern] = []
-    for P in candidates:
-        if not any(find_isomorphism(P, Q) is not None for Q in classes):
-            classes.append(P)
-    members: set = set()
-    witness: List[Tuple[OrdinalTerm, Pattern]] = []
-    witnessed: set = set()
-    for P in classes:
-        report = isominimal(P, H)
-        realization = report.realization
-        if realization is None:
-            continue
-        members.update(realization.universe.elements)
-        for x in realization.universe:
-            if x not in witnessed:
-                witnessed.add(x)
-                witness.append((x, realization))
-    return Core(
-        host=H,
-        members=tuple(sorted(members)),
-        witness=tuple(sorted(witness, key=lambda mw: mw[0])),
-        size_bound=size_bound,
-    )
+    subsets = closed_subsets(H.carrier, max_indecomposables=size_bound)
+    subsets.sort(key=lambda s: (sum(map(is_indecomposable, s)), s))
+    classes: Dict[tuple, Tuple[OrdinalTerm, ...]] = {}
+    for subset in subsets:
+        classes.setdefault(isomorphism_type(subset, H.le1, H.le2), subset)
+    witness: Dict[OrdinalTerm, Pattern] = {}
+    for subset in classes.values():
+        realization = isominimal(H.restrict_pattern(subset), H).realization
+        if realization is not None:
+            for x in realization.universe:
+                witness.setdefault(x, realization)
+    members = tuple(sorted(witness))
+    pairs = tuple((m, witness[m]) for m in members)
+    return Core(host=H, members=members, witness=pairs, size_bound=size_bound)
 
 
 @dataclass(frozen=True)

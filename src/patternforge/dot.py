@@ -19,10 +19,11 @@ Pair = Tuple[OrdinalTerm, OrdinalTerm]
 
 def _transitive_reduction(pairs: Iterable[Pair]) -> Set[Pair]:
     strict = {(a, b) for a, b in pairs if a != b}
+    nodes = {x for p in strict for x in p}
     return {
         (a, b)
         for a, b in strict
-        if not any((a, c) in strict and (c, b) in strict for c in {x for p in strict for x in p})
+        if not any((a, c) in strict and (c, b) in strict for c in nodes)
     }
 
 

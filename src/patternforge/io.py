@@ -288,9 +288,23 @@ def read_core(path: Union[str, Path], host: Hierarchy) -> Core:
         if ref not in cache:
             cache[ref] = loads_pattern((path.parent / ref).read_text())
         witness.append((parse_term(member), cache[ref]))
-    return Core(
-        host=host,
-        members=tuple(parse_term(m) for m in doc["members"]),
-        witness=tuple(witness),
-        size_bound=doc["size_bound"],
-    )
+    members = tuple(parse_term(m) for m in doc["members"])
+    bound = doc["size_bound"]
+    # only what compute_core can produce: positional comparison trusts it
+    if type(bound) is not int or bound < 1:
+        raise FormatError(f"size bound {bound!r} is not an integer of at least 1")
+    if not all(m in host.carrier for m in members):
+        raise FormatError("a core member is outside the host carrier")
+    if members != tuple(sorted(set(members))):
+        raise FormatError("core members are not strictly ascending")
+    if tuple(m for m, _ in witness) != members:
+        raise FormatError("the witnesses do not name the core members in order")
+    for m, W in witness:
+        if m not in W.universe:
+            raise FormatError(f"the witness of {format_term(m)} does not contain it")
+    for ref, W in cache.items():
+        if not W.universe <= host.carrier or W != host.restrict_pattern(W.universe):
+            raise FormatError(f"witness {ref} is not a substructure of the host")
+        if len(W.indecomposables) > bound:
+            raise FormatError(f"witness {ref} has more than {bound} indecomposables")
+    return Core(host=host, members=members, witness=tuple(witness), size_bound=bound)

@@ -21,7 +21,7 @@ from .ordinals import (
     ZERO,
     closure,
     format_term,
-    induced_embedding,
+    is_indecomposable,
     split_parts,
 )
 
@@ -236,29 +236,31 @@ def is_closed_substructure(Q: Pattern, P: Pattern) -> bool:
     return Q.le1 == restrict_relation(P.le1, keep) and Q.le2 == restrict_relation(P.le2, keep)
 
 
-def find_isomorphism(
-    P: Pattern, Q: Pattern
-) -> Optional[Dict[OrdinalTerm, OrdinalTerm]]:
-    """The canonical pattern isomorphism, if any.
+def isomorphism_type(
+    elements: Sequence[OrdinalTerm], le1: AbstractSet[Pair], le2: AbstractSet[Pair]
+) -> Tuple[tuple, tuple]:
+    """The isomorphism key of le1 and le2 on the ascending closed universe
+    elements: each element as the positions of its summands among the
+    indecomposables, paired with the strict pairs of le1 and le2 between the
+    elements as position pairs.  The canonical isomorphism sends the i-th
+    indecomposable to the i-th and extends additively, so it preserves order:
+    patterns are isomorphic exactly when their keys are equal, positionally."""
+    pos = {x: i for i, x in enumerate(elements)}
+    # the summand w^g of an element is named by its exponent g
+    indecs = {x.exponents[0]: i for i, x in enumerate(filter(is_indecomposable, elements))}
+    shape = tuple(tuple(indecs[g] for g in x.exponents) for x in elements)
+    pairs = tuple(
+        tuple(sorted((pos[a], pos[b]) for a, b in restrict_relation(rel, pos) if a != b))
+        for rel in (le1, le2)
+    )
+    return shape, pairs
 
-    Indecomposables correspond in increasing order and the map extends
-    arithmetically; it must carry P's universe onto Q's and preserve both
-    relations exactly in both directions.  Returns None otherwise.
-    """
-    pi = P.indecomposables
-    qi = Q.indecomposables
-    if len(pi) != len(qi) or len(P.universe) != len(Q.universe):
-        return None
-    mapping = induced_embedding(dict(zip(pi, qi)), P.universe)
-    if set(mapping.values()) != set(Q.universe.elements):
-        return None
-    for k in (1, 2):
-        pr, qr = P.rel(k), Q.rel(k)
-        for a in P.universe:
-            for b in P.universe:
-                if (((a, b) in pr) != ((mapping[a], mapping[b]) in qr)):
-                    return None
-    return mapping
+
+def find_isomorphism(P: Pattern, Q: Pattern) -> Optional[Dict[OrdinalTerm, OrdinalTerm]]:
+    """The canonical pattern isomorphism (see isomorphism_type) as a map from
+    P's universe onto Q's, or None when the patterns are not isomorphic."""
+    keys = [isomorphism_type(R.universe.elements, R.le1, R.le2) for R in (P, Q)]
+    return dict(zip(P.universe, Q.universe)) if keys[0] == keys[1] else None
 
 
 @dataclass(frozen=True)

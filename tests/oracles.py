@@ -6,7 +6,8 @@ shares search logic with the package.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from functools import reduce
+from itertools import combinations, permutations, product
 
 from patternforge import (
     ClosedSet,
@@ -14,13 +15,14 @@ from patternforge import (
     OrdinalTerm,
     Pattern,
     ZERO,
+    add,
     is_covering,
     is_indecomposable,
+    isominimal,
 )
 from patternforge.cores import closed_subsets
 from patternforge.hierarchy import game_pass
 from patternforge.ordinals import parts_closure, split_parts, summands
-from patternforge.patterns import find_isomorphism
 
 
 def brute_validate(universe, le1, le2) -> bool:
@@ -237,9 +239,71 @@ def has_isomorphic_closed_substructure(S: Pattern, H: Hierarchy) -> bool:
         if len(subset) != size:
             continue
         Q = H.restrict_pattern(subset)
-        if find_isomorphism(S, Q) is not None:
+        if brute_isomorphism(S, Q) is not None:
             return True
     return False
+
+
+def brute_isomorphism(P: Pattern, Q: Pattern):
+    """A pattern isomorphism from P onto Q as a dict, or None, by trying every
+    bijection between the universes (meant for at most 7 or 8 elements).
+
+    A bijection is accepted when it sends indecomposables onto
+    indecomposables, strictly increasing on them, sends each element to the
+    sum of its summands' images, and has (a, b) in P's le_k exactly when
+    (f(a), f(b)) is in Q's le_k.  Bijections that send an indecomposable to a
+    decomposable element are skipped by construction, pairing each kind only
+    with its own kind: the other conditions alone would accept 0, 1, w ->
+    0, 1, 2 with trivial relations, which is no arithmetic isomorphism.
+    """
+    xs, ys = P.universe.elements, Q.universe.elements
+    x_ind = [x for x in xs if is_indecomposable(x)]
+    y_ind = [y for y in ys if is_indecomposable(y)]
+    x_rest = [x for x in xs if not is_indecomposable(x)]
+    y_rest = [y for y in ys if not is_indecomposable(y)]
+    if len(x_ind) != len(y_ind) or len(x_rest) != len(y_rest):
+        return None
+    for ind_images in permutations(y_ind):
+        if any(not a < b for a, b in zip(ind_images, ind_images[1:])):
+            continue
+        for rest_images in permutations(y_rest):
+            f = dict(zip(x_ind + x_rest, ind_images + rest_images))
+            if any(f[x] != reduce(add, (f[s] for s in summands(x)), ZERO) for x in xs):
+                continue
+            if all(
+                ((a, b) in rp) == ((f[a], f[b]) in rq)
+                for rp, rq in ((P.le1, Q.le1), (P.le2, Q.le2))
+                for a in xs
+                for b in xs
+            ):
+                return f
+    return None
+
+
+def brute_core(H: Hierarchy, size_bound: int):
+    """(members, witness pairs) of the core, deduping the closed subsets with
+    at most size_bound indecomposables pairwise with brute_isomorphism: the
+    subsets go by (indecomposable count, elements), each is kept unless an
+    earlier kept one is isomorphic to it, and every member's witness is the
+    first kept subset's realization that contains it."""
+    subsets = sorted(
+        closed_subsets(H.carrier, max_indecomposables=size_bound),
+        key=lambda s: (len([x for x in s if is_indecomposable(x)]), s),
+    )
+    kept = []
+    for subset in subsets:
+        P = H.restrict_pattern(subset)
+        if all(brute_isomorphism(P, R) is None for R in kept):
+            kept.append(P)
+    witness = {}
+    for P in kept:
+        realization = isominimal(P, H).realization
+        if realization is not None:
+            for x in realization.universe:
+                if x not in witness:
+                    witness[x] = realization
+    members = tuple(sorted(witness))
+    return members, tuple((m, witness[m]) for m in members)
 
 
 def valid_relation_assignments(universe):

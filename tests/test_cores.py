@@ -1,8 +1,10 @@
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from patternforge import (
     Core,
     CoreMismatch,
+    Hierarchy,
     InitialSegmentEmbedding,
     ONE,
     OMEGA,
@@ -19,8 +21,14 @@ from patternforge import (
     trivial_pattern,
 )
 from patternforge.cores import closed_subsets
-from conftest import built
-from oracles import all_strict_chains2, has_isomorphic_closed_substructure
+from conftest import FORGE_POOL, built
+from oracles import (
+    all_strict_chains2,
+    brute_complete,
+    brute_core,
+    brute_validate,
+    has_isomorphic_closed_substructure,
+)
 
 
 def t(s):
@@ -140,6 +148,29 @@ def test_core_monotone_in_bound(hierarchy_big, hierarchy_ladder):
 def test_core_rejects_bad_bound(hierarchy_one):
     with pytest.raises(ValueError):
         compute_core(hierarchy_one, 0)
+
+
+@st.composite
+def forged_hierarchies(draw):
+    """A Hierarchy on a closed carrier of at most 8 elements whose relations
+    are the least valid ones holding a few random ascending pairs, with at
+    least one strict le1 pair."""
+    gens = draw(st.sets(st.sampled_from(FORGE_POOL), min_size=1, max_size=3))
+    carrier = closure(t(g) for g in gens)
+    assume(len(carrier) <= 8)
+    ascending = [(a, b) for a in carrier for b in carrier if a < b]
+    seed1 = draw(st.sets(st.sampled_from(ascending), min_size=1, max_size=3))
+    seed2 = draw(st.sets(st.sampled_from(sorted(seed1)), max_size=2))
+    le1, le2 = brute_complete(carrier.elements, seed1, seed2)
+    assert brute_validate(carrier.elements, le1, le2)
+    return Hierarchy(carrier=carrier, top=t("w^(w^(w))"), le1=frozenset(le1), le2=frozenset(le2))
+
+
+@given(forged_hierarchies(), st.integers(1, 3))
+@settings(max_examples=80, deadline=None)
+def test_core_matches_pairwise_brute_dedupe(H, bound):
+    core = compute_core(H, bound)
+    assert (core.members, core.witness) == brute_core(H, bound)
 
 
 # -- compare_cores ----------------------------------------------------------------

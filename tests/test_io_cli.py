@@ -165,6 +165,70 @@ def test_core_witness_must_be_plain_file_name(tmp_path, hierarchy_big, where):
         pfio.read_core(path, hierarchy_big)
 
 
+def _witness_file(doc, directory, member, P):
+    """Point member's witness entry at a new file holding P."""
+    ref = f"extra-{len(list(directory.glob('extra-*')))}.pattern"
+    (directory / ref).write_text(pfio.dumps_pattern(P))
+    for entry in doc["witnesses"]:
+        if entry[0] == member:
+            entry[1] = ref
+
+
+def _tamper(how, H, doc, directory):
+    """Edit a core document of H at bound 2 (and the files beside it) into
+    one that compute_core cannot produce."""
+    outside = "w^(w^(5))"
+    if how == "member outside carrier":
+        doc["members"].append(outside)
+        doc["witnesses"].append([outside, doc["witnesses"][-1][1]])
+    elif how == "members descending":
+        doc["members"].reverse()
+        doc["witnesses"].reverse()
+    elif how == "member repeated":
+        doc["members"].append(doc["members"][-1])
+        doc["witnesses"].append(doc["witnesses"][-1])
+    elif how == "member without witness":
+        doc["witnesses"].pop()
+    elif how == "witness lacks its member":
+        _witness_file(doc, directory, doc["members"][-1], H.restrict_pattern(closure([ONE])))
+    elif how == "witness relations not the host's":
+        # the witness of w+1 carries the host's strict pair (w, w+1)
+        W = H.restrict_pattern(closure([t("w+1")]))
+        assert W.strict_le1()
+        _witness_file(doc, directory, "w^(w^(0))+w^(0)", trivial_pattern(W.universe))
+    elif how == "witness outside the carrier":
+        _witness_file(doc, directory, "0", trivial_pattern([t(outside)]))
+    elif how == "witness above the size bound":
+        for member in doc["members"]:
+            _witness_file(doc, directory, member, H.restrict_pattern(H.carrier))
+    else:
+        doc["size_bound"] = how
+
+
+CORE_TAMPERINGS = [
+    ("member outside carrier", "outside the host carrier"),
+    ("members descending", "not strictly ascending"),
+    ("member repeated", "not strictly ascending"),
+    ("member without witness", "do not name the core members"),
+    ("witness lacks its member", "does not contain it"),
+    ("witness relations not the host's", "not a substructure of the host"),
+    ("witness outside the carrier", "not a substructure of the host"),
+    ("witness above the size bound", "more than 2 indecomposables"),
+] + [(bound, "size bound") for bound in ("2", 0, -1, 2.0, True, None)]
+
+
+@pytest.mark.parametrize("how,reason", CORE_TAMPERINGS)
+def test_core_loader_rejects_what_compute_core_cannot_produce(tmp_path, hierarchy_big, how, reason):
+    path = tmp_path / "big.core"
+    pfio.write_core(compute_core(hierarchy_big, 2), path)
+    assert pfio.read_core(path, hierarchy_big).members  # untampered, it loads
+    doc = pfio.parse_payload(path.read_text())
+    _tamper(how, hierarchy_big, doc, tmp_path)
+    path.write_text(pfio.render(doc))
+    with pytest.raises(pfio.FormatError, match=reason):
+        pfio.read_core(path, hierarchy_big)
+
+
 # -- dot export ------------------------------------------------------------------
 
 
@@ -477,10 +541,24 @@ def test_cli_export_dot_core(workdir):
     assert '"w" -> "w+1";' in res.stdout
 
 
-def test_cli_seed_is_inert(workdir):
-    r1 = run_cli(["--seed", "7", "chains", "big.hier"], workdir)
-    r2 = run_cli(["--seed", "99", "chains", "big.hier"], workdir)
-    assert r1.stdout == r2.stdout and r1.returncode == r2.returncode == 0
+@pytest.mark.parametrize(
+    "how", ["member outside carrier", "witness relations not the host's", "witness lacks its member"]
+)
+def test_cli_compare_rejects_tampered_core(workdir, hierarchy_omega2, hierarchy_big, how):
+    (workdir / "small.hier").write_text(pfio.dumps_hierarchy(hierarchy_omega2))
+    for name in ("small", "big"):
+        assert run_cli(
+            ["core", "--hierarchy", f"{name}.hier", "--bound", "2", "--out", f"{name}.core"], workdir
+        ).returncode == 0
+    doc = pfio.parse_payload((workdir / "big.core").read_text())
+    _tamper(how, hierarchy_big, doc, workdir)
+    (workdir / "big.core").write_text(pfio.render(doc))
+    res = run_cli(
+        ["compare", "--left", "small.core", "--right", "big.core",
+         "--left-hierarchy", "small.hier", "--right-hierarchy", "big.hier"],
+        workdir,
+    )
+    assert res.returncode == 2 and res.stderr.startswith("error:")
 
 
 def test_cli_build_to_stdout(workdir):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -13,12 +14,15 @@ from patternforge import (
     covers,
     find_isomorphism,
     is_closed_substructure,
+    isomorphism_type,
     parse_term,
     pointwise_le,
     trivial_pattern,
     validate_structure,
 )
-from oracles import brute_validate, valid_relation_assignments
+from patternforge.cores import closed_subsets
+from conftest import built
+from oracles import brute_isomorphism, brute_validate, valid_relation_assignments
 
 
 def t(s):
@@ -162,6 +166,68 @@ def test_iso_inverse_and_equivalence():
     for P, Q, R in itertools.permutations(pats, 3):
         if find_isomorphism(P, Q) and find_isomorphism(Q, R):
             assert find_isomorphism(P, R) is not None  # transitive
+
+
+# universes of equal size, some of one arithmetic shape, some of another
+ISO_UNIVERSES = {
+    3: [["1", "w"], ["1", "w^(2)"], ["w", "w^(w)"], ["2"], ["w+w"]],
+    4: [["w+1"], ["w^(2)+1"], ["w^(w)+w"], ["1", "w", "w^(2)"], ["3"], ["w+w", "1"]],
+}
+
+
+@functools.lru_cache(maxsize=None)
+def _assigned(gens):
+    universe = closure(t(g) for g in gens)
+    return [Pattern(universe, le1, le2) for le1, le2 in valid_relation_assignments(universe)]
+
+
+@functools.lru_cache(maxsize=None)
+def _restricted(name):
+    H = built(name)
+    by_size = {}
+    for subset in closed_subsets(H.carrier, max_elements=7):
+        by_size.setdefault(len(subset), []).append(H.restrict_pattern(subset))
+    return by_size
+
+
+@st.composite
+def pattern_pairs(draw):
+    """Two patterns on universes of equal size: every valid relation
+    assignment on small universes (often the same assignment on two
+    universes of one shape), or closed substructures of built hierarchies."""
+    if draw(st.booleans()):
+        size = draw(st.sampled_from(sorted(ISO_UNIVERSES)))
+        pa = _assigned(tuple(draw(st.sampled_from(ISO_UNIVERSES[size]))))
+        pb = _assigned(tuple(draw(st.sampled_from(ISO_UNIVERSES[size]))))
+        i = draw(st.integers(0, len(pa) - 1))
+        j = i if draw(st.booleans()) else draw(st.integers(0, len(pb) - 1))
+        return pa[i], pb[j % len(pb)]
+    by_size = _restricted(draw(st.sampled_from(["big", "ladder", "wide20"])))
+    bucket = by_size[draw(st.sampled_from(sorted(by_size)))]
+    return draw(st.sampled_from(bucket)), draw(st.sampled_from(bucket))
+
+
+def _agrees_with_brute(P, Q):
+    want = brute_isomorphism(P, Q)
+    assert find_isomorphism(P, Q) == want
+    same_key = isomorphism_type(P.universe.elements, P.le1, P.le2) == isomorphism_type(
+        Q.universe.elements, Q.le1, Q.le2
+    )
+    assert same_key == (want is not None)
+
+
+@given(pattern_pairs())
+@settings(max_examples=300, deadline=None)
+def test_isomorphism_matches_brute_bijections(pair):
+    _agrees_with_brute(*pair)
+
+
+def test_isomorphism_matches_brute_bijections_on_every_assignment_pair():
+    # random pairs rarely meet two assignments that share the endpoints of
+    # their strict pairs on one side only; every pair of one shape does
+    for P in _assigned(("w+1",)):
+        for Q in _assigned(("w^(2)+1",)):
+            _agrees_with_brute(P, Q)
 
 
 # -- pointwise order ----------------------------------------------------------
