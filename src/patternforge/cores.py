@@ -6,8 +6,9 @@ substructure of the hierarchy that covers it; the core is the union of those
 realizations over every pattern with at most a bounded number of
 indecomposables, counted up to isomorphism: each class is keyed by
 patterns.isomorphism_type, one key and one dict lookup per closed subset
-of the host.  Two cores compare positionally: member i maps to member i
-and the witness isomorphism types must agree.
+of the host, listed once each by growing over carrier ranks.  Two cores
+compare positionally: member i maps to member i and the witness
+isomorphism types must agree.
 """
 
 from __future__ import annotations
@@ -17,8 +18,9 @@ from typing import Dict, List, Optional, Tuple
 
 from .covering import search_coverings
 from .hierarchy import Hierarchy, indecomposable_endpoints
-from .ordinals import ClosedSet, OrdinalTerm, ZERO, format_term, is_indecomposable, parts_closure
+from .ordinals import ClosedSet, OrdinalTerm, format_term, is_indecomposable
 from .patterns import Pattern, find_isomorphism, isomorphism_type, pointwise_le, validate_structure
+from .patterns import restrict_relation
 
 
 @dataclass(frozen=True)
@@ -55,7 +57,10 @@ def isominimal(P: Pattern, H: Hierarchy) -> IsominimalReport:
         if not any(other != r and pointwise_le(other, r) for other in ranges)
     ]
     chosen = min(minimal)
-    realization = H.restrict_pattern(chosen)
+    induced = chosen == P.universe.elements and all(
+        P.rel(k) == restrict_relation(H.rel(k), P.universe.as_set()) for k in (1, 2)
+    )
+    realization = P if induced else H.restrict_pattern(chosen)
     below_all = all(pointwise_le(chosen, r) for r in ranges)
     iso = find_isomorphism(P, realization) is not None
     return IsominimalReport(
@@ -89,30 +94,26 @@ def closed_subsets(
     max_indecomposables: Optional[int] = None,
     max_elements: Optional[int] = None,
 ) -> List[Tuple[OrdinalTerm, ...]]:
-    """All closed subsets of the carrier within the given bounds, sorted."""
-    seen = {(ZERO,)}
-    frontier = [frozenset((ZERO,))]
-    while frontier:
-        nxt = []
-        for s in frontier:
-            for x in carrier:
-                if x in s:
-                    continue
-                grown = frozenset(parts_closure(s | {x}))
-                key = tuple(sorted(grown))
-                if key in seen:
-                    continue
-                if max_elements is not None and len(grown) > max_elements:
-                    continue
-                if (
-                    max_indecomposables is not None
-                    and sum(1 for y in grown if is_indecomposable(y)) > max_indecomposables
-                ):
-                    continue
-                seen.add(key)
-                nxt.append(grown)
-        frontier = nxt
-    return sorted(seen)
+    """All closed subsets of the carrier within the bounds ({0} always), as
+    ascending tuples in lexicographic order, which compute_core relies on.
+    A subset grows by ascending ranks, each joining once its split parts are
+    in (parts come before wholes, see CarrierIndex), so each is built once."""
+    index, n = carrier.index, len(carrier)
+    needs = [sum(1 << p for p in set(parts)) for parts in index.parts]  # w+w: parts w, w
+    indec = [len(s) == 1 for s in index.summands]
+    max_e = n if max_elements is None else max_elements
+    max_i = n if max_indecomposables is None else max_indecomposables
+    out: List[Tuple[OrdinalTerm, ...]] = []
+
+    def grow(ranks: Tuple[int, ...], mask: int, indecs: int) -> None:
+        out.append(tuple(index.elements[r] for r in ranks))
+        if len(ranks) < max_e:
+            for r in range(ranks[-1] + 1, n):
+                if not needs[r] & ~mask and indecs + indec[r] <= max_i:
+                    grow(ranks + (r,), mask | 1 << r, indecs + indec[r])
+
+    grow((0,), 1, 0)
+    return out
 
 
 def compute_core(H: Hierarchy, size_bound: int) -> Core:
@@ -122,10 +123,10 @@ def compute_core(H: Hierarchy, size_bound: int) -> Core:
     to isomorphism, and union the isominimal realizations.  A class is keyed by
     isomorphism_type and represented by its first closed subset in the order
     (indecomposable count, elements); only representatives become patterns."""
-    if size_bound < 1:
-        raise ValueError("size_bound must be at least 1")
+    if type(size_bound) is not int or size_bound < 1:
+        raise ValueError("size_bound must be an integer of at least 1")
     subsets = closed_subsets(H.carrier, max_indecomposables=size_bound)
-    subsets.sort(key=lambda s: (sum(map(is_indecomposable, s)), s))
+    subsets.sort(key=lambda s: sum(map(is_indecomposable, s)))  # stable: elements break ties
     classes: Dict[tuple, Tuple[OrdinalTerm, ...]] = {}
     for subset in subsets:
         classes.setdefault(isomorphism_type(subset, H.le1, H.le2), subset)

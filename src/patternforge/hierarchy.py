@@ -29,8 +29,8 @@ Rounds evaluate all pairs against an immutable snapshot, so the result is
 independent of evaluation order and bit-exact across rebuilds.
 
 The games run on the carrier's rank index (ClosedSet.index): the reduced
-challenge is cut out of the carrier by rank bounds and closed over the
-ranks of split parts, and the pins and the backward source are prefixes of
+challenge is cut out by rank bounds and closed by one descending sweep
+over split-part ranks, and the pins and the backward source are prefixes of
 the challenge and of the carrier.  Every game of a round hands the search
 the same snapshot frozensets, unrestricted, as both the challenge's and the
 carrier's relations, so the search reads the target's bitset rows for both
@@ -120,15 +120,12 @@ def reduced_challenge(
     b = index.below(beta)
     a = min(index.below(alpha), b)
     shed = max(a - window, 0) if window > 0 else a  # ranks shed..a-1 are the zone
-    parts = index.parts
-    kept = set(range(shed)) | set(range(a, b)) | {0}
-    stack = list(range(a, b))
-    while stack:
-        for p in parts[stack.pop()]:
-            if p not in kept:
-                kept.add(p)
-                stack.append(p)
-    return tuple(carrier.elements[r] for r in sorted(kept))
+    kept = [r == 0 or r < shed or r >= a for r in range(max(b, 1))]  # 0 even if beta = 0
+    for r in reversed(range(b)):  # parts before wholes (CarrierIndex)
+        if kept[r]:
+            for p in index.parts[r]:
+                kept[p] = True
+    return tuple(x for x, k in zip(carrier.elements, kept) if k)
 
 
 def game_pass(

@@ -151,7 +151,8 @@ class CarrierIndex:
     indecomposables the ranks of the indecomposable elements, ascending
 
     Closedness puts every part and every summand of an element in the set,
-    so all of these are ranks of the same set.
+    so all of these are ranks of the same set; a part is smaller than its
+    element, so its rank is smaller too: parts come before wholes.
     """
 
     __slots__ = ("elements", "rank", "summands", "parts", "by_summands", "indecomposables")

@@ -20,7 +20,6 @@ from patternforge import (
     is_indecomposable,
     isominimal,
 )
-from patternforge.cores import closed_subsets
 from patternforge.hierarchy import game_pass
 from patternforge.ordinals import parts_closure, split_parts, summands
 
@@ -195,6 +194,24 @@ def shape_buckets(H: Hierarchy, n: int):
     return buckets
 
 
+def brute_closed_subsets(carrier, max_indecomposables=None, max_elements=None):
+    """Every subset of the carrier that contains 0, is closed under
+    split_parts and stays within the bounds, found by trying each subset;
+    {0} is listed whatever the bounds.  Ascending tuples, sorted."""
+    out = []
+    for size in range(1, len(carrier) + 1):
+        for subset in combinations(carrier.elements, size):
+            members = set(subset)
+            closed = ZERO in members and all(p in members for x in subset for p in split_parts(x))
+            within = (max_elements is None or size <= max_elements) and (
+                max_indecomposables is None
+                or sum(map(is_indecomposable, subset)) <= max_indecomposables
+            )
+            if closed and (within or subset == (ZERO,)):
+                out.append(subset)
+    return sorted(out)
+
+
 def game_all_challenges(k, alpha, beta, H: Hierarchy, window=1, moved_floor=None) -> bool:
     """The pair game quantified over every closed challenge below beta, each
     reduced by the player's window discards; validates the dominant-challenge
@@ -202,7 +219,7 @@ def game_all_challenges(k, alpha, beta, H: Hierarchy, window=1, moved_floor=None
     zone_base = [c for c in H.carrier if c < alpha]
     zone = set(zone_base[-window:]) if window > 0 else set()
     below_beta = ClosedSet([c for c in H.carrier if c < beta] + [ZERO])
-    for challenge in closed_subsets(below_beta):
+    for challenge in brute_closed_subsets(below_beta):
         reduced = tuple(sorted(parts_closure(set(challenge) - zone)))
         if not game_pass(
             k, alpha, beta, H.carrier, H.le1, H.le2,
@@ -235,7 +252,7 @@ def has_isomorphic_closed_substructure(S: Pattern, H: Hierarchy) -> bool:
     """Independent decision for pattern-hood relative to H: some closed
     substructure of H is isomorphic to S."""
     size = len(S.universe)
-    for subset in closed_subsets(H.carrier, max_elements=size):
+    for subset in brute_closed_subsets(H.carrier, max_elements=size):
         if len(subset) != size:
             continue
         Q = H.restrict_pattern(subset)
@@ -287,7 +304,7 @@ def brute_core(H: Hierarchy, size_bound: int):
     earlier kept one is isomorphic to it, and every member's witness is the
     first kept subset's realization that contains it."""
     subsets = sorted(
-        closed_subsets(H.carrier, max_indecomposables=size_bound),
+        brute_closed_subsets(H.carrier, max_indecomposables=size_bound),
         key=lambda s: (len([x for x in s if is_indecomposable(x)]), s),
     )
     kept = []

@@ -24,6 +24,7 @@ from patternforge.cores import closed_subsets
 from conftest import FORGE_POOL, built
 from oracles import (
     all_strict_chains2,
+    brute_closed_subsets,
     brute_complete,
     brute_core,
     brute_validate,
@@ -55,6 +56,18 @@ def test_closed_subsets_small(hierarchy_big):
 def test_closed_subsets_respect_indec_bound(hierarchy_big):
     for s in closed_subsets(hierarchy_big.carrier, max_indecomposables=1):
         assert sum(1 for x in s if len(x.exponents) == 1) <= 1
+
+
+@given(st.sets(st.sampled_from(FORGE_POOL), max_size=3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_closed_subsets_match_brute_force(gens, data):
+    carrier = closure(t(g) for g in gens)
+    assume(len(carrier) <= 9)
+    bounds = st.one_of(st.none(), st.integers(0, len(carrier)))
+    max_indecomposables, max_elements = data.draw(bounds), data.draw(bounds)
+    assert closed_subsets(carrier, max_indecomposables, max_elements) == brute_closed_subsets(
+        carrier, max_indecomposables, max_elements
+    )
 
 
 # -- isominimal -------------------------------------------------------------------
@@ -90,6 +103,16 @@ def test_isominimal_enriched_cover_still_dominated(hierarchy_ladder):
     rep = isominimal(trivial_pattern([ONE, OMEGA]), hierarchy_ladder)
     assert names(rep.realization.universe) == ["0", "w^(0)", "w^(w^(0))"]
     assert rep.below_all_covers and rep.isomorphic
+
+
+def test_isominimal_realization_carries_host_relations(hierarchy_big):
+    # coverings preserve relations forward only: a pattern on a closed subset
+    # of the host with fewer pairs than the host has there is realized by the
+    # host's substructure, not by itself
+    P = trivial_pattern([t("w+1")])
+    rep = isominimal(P, hierarchy_big)
+    assert rep.realization == hierarchy_big.restrict_pattern(P.universe)
+    assert rep.realization != P and not rep.isomorphic
 
 
 def test_isominimal_minimality_is_exhaustive(hierarchy_big):
@@ -148,6 +171,14 @@ def test_core_monotone_in_bound(hierarchy_big, hierarchy_ladder):
 def test_core_rejects_bad_bound(hierarchy_one):
     with pytest.raises(ValueError):
         compute_core(hierarchy_one, 0)
+
+
+@pytest.mark.parametrize("bound", [True, 2.0])
+def test_core_rejects_bounds_the_loader_rejects(hierarchy_one, bound):
+    # io.read_core accepts only an int of at least 1, so a core computed at
+    # any other bound would be written but never read back
+    with pytest.raises(ValueError):
+        compute_core(hierarchy_one, bound)
 
 
 @st.composite
