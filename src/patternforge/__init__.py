@@ -26,13 +26,11 @@ from .ordinals import (
 from .patterns import (
     InvalidPatternError,
     Pattern,
-    PointwiseWitness,
     Violation,
     covers,
     find_isomorphism,
     is_closed_substructure,
     isomorphism_type,
-    pointwise_comparison,
     pointwise_le,
     trivial_pattern,
     validate_structure,

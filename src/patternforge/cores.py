@@ -1,8 +1,9 @@
 """Isominimal realizations, cores, initial-segment core comparison, the
 pattern characterization check, and le2 chain extraction.
 
-The realization of a coverable pattern is the pointwise-least closed
-substructure of the hierarchy that covers it; the core is the union of those
+The realization of a coverable pattern is the lexicographically least
+closed substructure of the hierarchy that covers it, which is
+pointwise-minimal among them (see isominimal); the core is the union of those
 realizations over every pattern with at most a bounded number of
 indecomposables, counted up to isomorphism: each class is keyed by
 patterns.isomorphism_type, one key and one dict lookup per closed subset
@@ -34,6 +35,12 @@ class IsominimalReport:
                       covering range
     isomorphic        the realization is isomorphic to the source pattern
     covers_enumerated number of coverings examined
+
+    unique_minimum and below_all_covers always agree: the covering ranges
+    are distinct, so they form a finite poset under the pointwise order, and
+    such a poset has exactly one minimal element when that element is below
+    all the others.  Both are kept because the CLI and the artifacts print
+    both.
     """
 
     realization: Optional[Pattern]
@@ -44,30 +51,31 @@ class IsominimalReport:
 
 
 def isominimal(P: Pattern, H: Hierarchy) -> IsominimalReport:
-    """Exhaustively enumerate the closed substructures covering P and pick a
-    pointwise-minimal one (ties broken by lexicographically least universe)."""
-    ranges: List[Tuple[OrdinalTerm, ...]] = []
-    for cov in search_coverings(P, H):
-        ranges.append(cov.range_elements)
+    """Enumerate the closed substructures covering P and pick a
+    pointwise-minimal one: the range of the first covering found.
+
+    Coverings come in lexicographic order of their indecomposable images
+    (search_coverings).  Where two coverings first differ, at an
+    indecomposable i, they agree on every element below i (its summands are
+    indecomposables below i), and both preserve order, so their ascending
+    ranges first differ at i's position: the first range is the
+    lexicographically least.  A range pointwise below it would be
+    lexicographically smaller still, so it is pointwise-minimal, and it is
+    the only minimal range exactly when it is below every range."""
+    ranges = [cov.range_elements for cov in search_coverings(P, H)]
     if not ranges:
         return IsominimalReport(None, False, False, False, 0)
-    minimal = [
-        r
-        for r in ranges
-        if not any(other != r and pointwise_le(other, r) for other in ranges)
-    ]
-    chosen = min(minimal)
+    chosen = ranges[0]
     induced = chosen == P.universe.elements and all(
         P.rel(k) == restrict_relation(H.rel(k), P.universe.as_set()) for k in (1, 2)
     )
     realization = P if induced else H.restrict_pattern(chosen)
     below_all = all(pointwise_le(chosen, r) for r in ranges)
-    iso = find_isomorphism(P, realization) is not None
     return IsominimalReport(
         realization=realization,
-        unique_minimum=len(minimal) == 1,
+        unique_minimum=below_all,
         below_all_covers=below_all,
-        isomorphic=iso,
+        isomorphic=find_isomorphism(P, realization) is not None,
         covers_enumerated=len(ranges),
     )
 
@@ -94,8 +102,8 @@ def closed_subsets(
     max_indecomposables: Optional[int] = None,
     max_elements: Optional[int] = None,
 ) -> List[Tuple[OrdinalTerm, ...]]:
-    """All closed subsets of the carrier within the bounds ({0} always), as
-    ascending tuples in lexicographic order, which compute_core relies on.
+    """All closed subsets of the carrier within the bounds, as ascending
+    tuples in lexicographic order, which compute_core relies on.
     A subset grows by ascending ranks, each joining once its split parts are
     in (parts come before wholes, see CarrierIndex), so each is built once."""
     index, n = carrier.index, len(carrier)
@@ -112,7 +120,8 @@ def closed_subsets(
                 if not needs[r] & ~mask and indecs + indec[r] <= max_i:
                     grow(ranks + (r,), mask | 1 << r, indecs + indec[r])
 
-    grow((0,), 1, 0)
+    if max_e >= 1 and max_i >= 0:  # else not even {0} is within the bounds
+        grow((0,), 1, 0)
     return out
 
 

@@ -296,19 +296,21 @@ def le_inf(
     True iff the base game passes and, for every threshold in the carrier
     below alpha except the `window` largest, the game also passes with all
     non-fixed witness images strictly above the threshold.
+
+    One game decides it, at the largest such threshold (at none when there
+    is no threshold).  Raising the floor only removes forward witnesses, and
+    the two-round game's backward check does not read the floor, so a
+    witness above the largest threshold is a witness above every smaller
+    one and for the base game.
     """
     if alpha not in H.carrier or beta not in H.carrier:
         raise ValueError("both endpoints must be carrier elements")
     if not alpha <= beta:
         raise ValueError("le_inf needs alpha <= beta")
-    if not game_pass(k, alpha, beta, H.carrier, H.le1, H.le2):
-        return False
     thresholds = H.carrier.elements[: H.carrier.index.below(alpha)]
     selected = thresholds[:-window] if window > 0 else thresholds
-    return all(
-        game_pass(k, alpha, beta, H.carrier, H.le1, H.le2, moved_floor=tau)
-        for tau in selected
-    )
+    floor = selected[-1] if selected else None
+    return game_pass(k, alpha, beta, H.carrier, H.le1, H.le2, moved_floor=floor)
 
 
 @dataclass(frozen=True)

@@ -308,9 +308,9 @@ def induced_embedding(
 # ---------------------------------------------------------------------------
 # Text form.  Grammar:  T ::= "0" | S ("+" S)*
 #                       S ::= "w^(" T ")" | "w" | "1" | positive integer
-# "1" abbreviates w^(0), "w" abbreviates w^(w^(0)), an integer n abbreviates
-# n summands w^(0).  Summands must already be descending; the parser rejects
-# non-canonical order instead of re-sorting.
+# "1" abbreviates w^(0), "w" abbreviates w^(w^(0)), an integer n (written
+# without a leading zero) abbreviates n summands w^(0).  Summands must already
+# be descending; the parser rejects non-canonical order instead of re-sorting.
 # ---------------------------------------------------------------------------
 
 
@@ -321,24 +321,13 @@ def parse_term(text: str) -> OrdinalTerm:
     s = "".join(text.split())
     if not s:
         raise TermSyntaxError("empty ordinal expression")
-    if s == "0":
-        return ZERO
-    exponents = []
-    pos = 0
-    while True:
-        exps, pos = _parse_summand(s, pos)
-        exponents.extend(exps)
-        if pos == len(s):
-            break
-        if s[pos] != "+":
-            raise TermSyntaxError(f"unexpected {s[pos]!r} at position {pos} in {text!r}")
-        pos += 1
-    for hi, lo in zip(exponents, exponents[1:]):
-        if compare(hi, lo) < 0:
-            raise NonCanonicalTermError(
-                f"summands of {text!r} are not in descending order"
-            )
-    return OrdinalTerm(tuple(exponents))
+    try:
+        term, pos = _parse_subterm(s, 0)
+    except NonCanonicalTermError:
+        raise NonCanonicalTermError(f"summands of {text!r} are not in descending order") from None
+    if pos != len(s):
+        raise TermSyntaxError(f"unexpected {s[pos]!r} at position {pos} in {text!r}")
+    return term
 
 
 def _parse_summand(s: str, pos: int):
@@ -356,15 +345,16 @@ def _parse_summand(s: str, pos: int):
         end = pos
         while end < len(s) and s[end].isdigit():
             end += 1
-        n = int(s[pos:end])
-        if n == 0:
-            raise TermSyntaxError("'0' cannot appear inside a sum")
-        return [ZERO] * n, end
+        if int(ch) == 0:
+            raise TermSyntaxError("'0' cannot appear inside a sum or lead an integer")
+        return [ZERO] * int(s[pos:end]), end
     raise TermSyntaxError(f"unexpected {ch!r} at position {pos}")
 
 
 def _parse_subterm(s: str, pos: int):
-    """Parse a T production starting at pos, stopping before an unmatched ')'."""
+    """Parse a T production starting at pos, stopping before the first
+    character that cannot continue it; OrdinalTerm rejects summands out of
+    descending order."""
     if pos < len(s) and s[pos] == "0":
         nxt = pos + 1
         if nxt < len(s) and s[nxt] == "+":
@@ -378,9 +368,6 @@ def _parse_subterm(s: str, pos: int):
             pos += 1
             continue
         break
-    for hi, lo in zip(exponents, exponents[1:]):
-        if compare(hi, lo) < 0:
-            raise NonCanonicalTermError("summands are not in descending order")
     return OrdinalTerm(tuple(exponents)), pos
 
 

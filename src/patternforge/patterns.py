@@ -263,34 +263,12 @@ def find_isomorphism(P: Pattern, Q: Pattern) -> Optional[Dict[OrdinalTerm, Ordin
     return dict(zip(P.universe, Q.universe)) if keys[0] == keys[1] else None
 
 
-@dataclass(frozen=True)
-class PointwiseWitness:
-    """Increasing-enumeration pairing of two equal-size finite sets with the
-    per-position comparison outcomes."""
-
-    pairing: Tuple[Tuple[OrdinalTerm, OrdinalTerm], ...]
-    comparisons: Tuple[bool, ...]
-
-    @property
-    def holds(self) -> bool:
-        return all(self.comparisons)
-
-
-def pointwise_comparison(
-    X: Iterable[OrdinalTerm], Y: Iterable[OrdinalTerm]
-) -> PointwiseWitness:
-    """Pair the i-th smallest elements of two equal-size sets."""
-    xs = sorted(set(X))
-    ys = sorted(set(Y))
-    if len(xs) != len(ys):
-        raise ValueError(f"pointwise order needs equal sizes, got {len(xs)} and {len(ys)}")
-    pairing = tuple(zip(xs, ys))
-    return PointwiseWitness(pairing, tuple(x <= y for x, y in pairing))
-
-
 def pointwise_le(X: Iterable[OrdinalTerm], Y: Iterable[OrdinalTerm]) -> bool:
     """Compare equal-size finite sets position by position in increasing order."""
-    return pointwise_comparison(X, Y).holds
+    xs, ys = sorted(set(X)), sorted(set(Y))
+    if len(xs) != len(ys):
+        raise ValueError(f"pointwise order needs equal sizes, got {len(xs)} and {len(ys)}")
+    return all(x <= y for x, y in zip(xs, ys))
 
 
 def covers(S: Pattern, T: Pattern) -> bool:

@@ -196,8 +196,8 @@ def shape_buckets(H: Hierarchy, n: int):
 
 def brute_closed_subsets(carrier, max_indecomposables=None, max_elements=None):
     """Every subset of the carrier that contains 0, is closed under
-    split_parts and stays within the bounds, found by trying each subset;
-    {0} is listed whatever the bounds.  Ascending tuples, sorted."""
+    split_parts and stays within the bounds, found by trying each subset.
+    Ascending tuples, sorted."""
     out = []
     for size in range(1, len(carrier) + 1):
         for subset in combinations(carrier.elements, size):
@@ -207,7 +207,7 @@ def brute_closed_subsets(carrier, max_indecomposables=None, max_elements=None):
                 max_indecomposables is None
                 or sum(map(is_indecomposable, subset)) <= max_indecomposables
             )
-            if closed and (within or subset == (ZERO,)):
+            if closed and within:
                 out.append(subset)
     return sorted(out)
 
@@ -227,6 +227,41 @@ def game_all_challenges(k, alpha, beta, H: Hierarchy, window=1, moved_floor=None
         ):
             return False
     return True
+
+
+def brute_le_inf(k, alpha, beta, H: Hierarchy, window=1) -> bool:
+    """le_inf by its definition: the game passes with no floor and with each
+    threshold below alpha, except the window largest, as the moved floor;
+    each game over every closed challenge (game_all_challenges)."""
+    thresholds = [c for c in H.carrier if c < alpha]
+    selected = thresholds[:-window] if window > 0 else thresholds
+    return all(game_all_challenges(k, alpha, beta, H, moved_floor=tau) for tau in [None] + selected)
+
+
+def brute_realization(P: Pattern, H: Hierarchy):
+    """(realization, unique_minimum, below_all_covers, isomorphic,
+    covers_enumerated) as isominimal defines them, from every covering
+    range of covering_maps_bruteforce: the ranges no other range lies
+    pointwise below are the minimal ones, compared pairwise slot by slot,
+    and the realization is the host's substructure on the
+    lexicographically least of them."""
+    ranges = [tuple(sorted(y for _, y in cov)) for cov in covering_maps_bruteforce(P, H)]
+    if not ranges:
+        return None, False, False, False, 0
+
+    def below(X, Y):
+        return all(x <= y for x, y in zip(X, Y))
+
+    minimal = [r for r in ranges if not any(o != r and below(o, r) for o in ranges)]
+    chosen = min(minimal)
+    realization = H.restrict_pattern(chosen)
+    return (
+        realization,
+        len(minimal) == 1,
+        all(below(chosen, r) for r in ranges),
+        brute_isomorphism(P, realization) is not None,
+        len(ranges),
+    )
 
 
 def all_strict_chains2(H: Hierarchy):

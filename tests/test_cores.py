@@ -21,12 +21,13 @@ from patternforge import (
     trivial_pattern,
 )
 from patternforge.cores import closed_subsets
-from conftest import FORGE_POOL, built
+from conftest import FORGE_POOL, built, valid_hierarchies
 from oracles import (
     all_strict_chains2,
     brute_closed_subsets,
     brute_complete,
     brute_core,
+    brute_realization,
     brute_validate,
     has_isomorphic_closed_substructure,
 )
@@ -56,6 +57,13 @@ def test_closed_subsets_small(hierarchy_big):
 def test_closed_subsets_respect_indec_bound(hierarchy_big):
     for s in closed_subsets(hierarchy_big.carrier, max_indecomposables=1):
         assert sum(1 for x in s if len(x.exponents) == 1) <= 1
+
+
+def test_closed_subsets_empty_below_one_element(hierarchy_big):
+    # {0} has one element and no indecomposable, so tighter bounds admit nothing
+    assert closed_subsets(hierarchy_big.carrier, max_elements=0) == []
+    assert closed_subsets(hierarchy_big.carrier, max_indecomposables=-1) == []
+    assert closed_subsets(hierarchy_big.carrier, max_indecomposables=0) == [(ZERO,)]
 
 
 @given(st.sets(st.sampled_from(FORGE_POOL), max_size=3), st.data())
@@ -95,6 +103,55 @@ def test_isominimal_picks_pointwise_least(hierarchy_big):
     assert names(rep.realization.universe) == ["0", "w^(0)", "w^(w^(0))"]
     assert rep.unique_minimum and rep.below_all_covers and rep.isomorphic
     assert rep.covers_enumerated == 3
+
+
+def test_isominimal_without_unique_minimum():
+    # the two coverings' ranges {0, 1, w^w, w^w+1} and {0, w, w^2, w^2+w}
+    # are pointwise incomparable; the realization is the lexicographically
+    # least of them
+    from patternforge import build_hierarchy
+
+    H = build_hierarchy(closure([t("w^(w)+1"), t("w^(2)+w")]), t("w^(w+1)"))
+    P = trivial_pattern([t("w^(w)+1")])
+    rep = isominimal(P, H)
+    assert not rep.unique_minimum and not rep.below_all_covers
+    assert rep.covers_enumerated == 2
+    assert rep.realization.universe.elements == (ZERO, ONE, t("w^(w)"), t("w^(w)+1"))
+    assert rep.isomorphic
+    got = (rep.realization, rep.unique_minimum, rep.below_all_covers, rep.isomorphic, rep.covers_enumerated)
+    assert got == brute_realization(P, H)
+
+
+def test_isominimal_compares_each_range_once(hierarchy_big, monkeypatch):
+    # the first covering's range is the least, so one pass decides both flags
+    import patternforge.cores as cores
+
+    calls = []
+    monkeypatch.setattr(cores, "pointwise_le", lambda X, Y: calls.append(1) or pointwise_le(X, Y))
+    rep = isominimal(trivial_pattern([ONE, OMEGA]), hierarchy_big)
+    assert 0 < len(calls) <= rep.covers_enumerated == 3
+
+
+@st.composite
+def patterns_for(draw, H):
+    """A pattern on a closed subset, of at most 5 elements, of H's carrier,
+    whose relations are the least valid ones holding some of H's pairs
+    there."""
+    subset = draw(st.sampled_from(closed_subsets(H.carrier, max_elements=5)))
+    Q = H.restrict_pattern(subset)
+    seed1 = [p for p in Q.strict_le1() if draw(st.booleans())]
+    seed2 = [p for p in Q.strict_le2() if p in seed1 and draw(st.booleans())]
+    return Pattern(subset, *brute_complete(subset, seed1, seed2))
+
+
+@given(valid_hierarchies(), valid_hierarchies(), st.data())
+@settings(max_examples=100, deadline=None)
+def test_isominimal_matches_brute_realization(H, other, data):
+    # patterns drawn from the host are covered; from another host, maybe not
+    P = data.draw(patterns_for(data.draw(st.sampled_from([H, other]))))
+    rep = isominimal(P, H)
+    got = (rep.realization, rep.unique_minimum, rep.below_all_covers, rep.isomorphic, rep.covers_enumerated)
+    assert got == brute_realization(P, H)
 
 
 def test_isominimal_enriched_cover_still_dominated(hierarchy_ladder):

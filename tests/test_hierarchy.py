@@ -15,9 +15,9 @@ from patternforge import (
 )
 from patternforge.hierarchy import game_pass, reduced_challenge
 from patternforge import io as pfio
-from conftest import SHIPPED, built, forged_relations, make_carrier
-from hypothesis import given, settings
-from oracles import brute_validate, game_all_challenges
+from conftest import SHIPPED, built, forged_relations, make_carrier, valid_hierarchies
+from hypothesis import given, settings, strategies as st
+from oracles import brute_le_inf, brute_validate, game_all_challenges
 
 
 def t(s):
@@ -262,6 +262,36 @@ def test_le_inf_validates_inputs(hierarchy_big):
 def test_le_inf_holds_on_ladder(hierarchy_ladder):
     assert le_inf(hierarchy_ladder, 1, OMEGA, t("w^(2)"), 1)
     assert le_inf(hierarchy_ladder, 2, OMEGA, t("w^(2)"), 1)
+
+
+def test_le_inf_plays_one_game(hierarchy_big, monkeypatch):
+    # a witness above the largest threshold is above every smaller one
+    import patternforge.hierarchy as hierarchy
+
+    calls = []
+    monkeypatch.setattr(hierarchy, "game_pass", lambda *a, **kw: calls.append(kw) or game_pass(*a, **kw))
+    le_inf(hierarchy_big, 1, t("w+w"), t("w^(2)"), 1)
+    assert calls == [{"moved_floor": OMEGA}]
+
+
+@pytest.mark.parametrize("name", ["big", "ladder", "omega2"])
+def test_le_inf_matches_threshold_sweep_on_built_hosts(name):
+    H = built(name)
+    pairs = [(a, b) for a in H.carrier for b in H.carrier if a < b]
+    for k in (1, 2):
+        for a, b in pairs:
+            for window in range(4):
+                assert le_inf(H, k, a, b, window) == brute_le_inf(k, a, b, H, window), (k, str(a), str(b), window)
+
+
+@given(valid_hierarchies(max_elements=7), st.data())
+@settings(max_examples=100, deadline=None)
+def test_le_inf_matches_threshold_sweep_on_forged_hosts(H, data):
+    k = data.draw(st.sampled_from([1, 2]))
+    pairs = [(a, b) for a, b in H.rel(k) if a != b] or [(a, b) for a in H.carrier for b in H.carrier if a < b]
+    a, b = data.draw(st.sampled_from(sorted(pairs)))
+    for window in range(4):
+        assert le_inf(H, k, a, b, window) == brute_le_inf(k, a, b, H, window), (k, str(a), str(b), window)
 
 
 # -- axiom checks ---------------------------------------------------------------

@@ -60,7 +60,9 @@ def test_parse_rejects_noncanonical():
         t("1+w")
 
 
-@pytest.mark.parametrize("bad", ["", "w^(", "0+1", "x", "w^()", "+1", "w^(1"])
+@pytest.mark.parametrize(
+    "bad", ["", "w^(", "0+1", "x", "w^()", "+1", "w^(1", "05", "w^(2+05)", "w^(05)", "1+05"]
+)
 def test_parse_syntax_errors(bad):
     with pytest.raises((TermSyntaxError, NonCanonicalTermError)):
         t(bad)
