@@ -41,6 +41,16 @@ def _load_hierarchy(path: str):
     return pfio.loads_hierarchy(_read(path))
 
 
+def _load_host(path: str):
+    """A hierarchy to search; relations that break a pattern clause could make
+    a search affirm what does not hold, so they are an input error."""
+    H = _load_hierarchy(path)
+    violations = "; ".join(v.describe() for v in validate_structure(H.carrier, H.le1, H.le2))
+    if violations:
+        raise CliError(f"{path}: the relations are not a valid structure: {violations}")
+    return H
+
+
 def _emit(path, text: str) -> None:
     if path:
         Path(path).write_text(text)
@@ -113,7 +123,7 @@ def cmd_axioms(args) -> int:
 
 def cmd_cover(args) -> int:
     P = _load_pattern(args.pattern)
-    H = _load_hierarchy(args.hierarchy)
+    H = _load_host(args.hierarchy)
     found = 0
     for cov in search_coverings(P, H):
         found += 1
@@ -134,7 +144,7 @@ def cmd_cover(args) -> int:
 
 def cmd_isominimal(args) -> int:
     P = _load_pattern(args.pattern)
-    H = _load_hierarchy(args.hierarchy)
+    H = _load_host(args.hierarchy)
     report = isominimal(P, H)
     if report.realization is None:
         print("not covered")
@@ -161,7 +171,7 @@ def cmd_isominimal(args) -> int:
 
 
 def cmd_core(args) -> int:
-    H = _load_hierarchy(args.hierarchy)
+    H = _load_host(args.hierarchy)
     core = compute_core(H, args.bound)
     pfio.write_core(core, args.out)
     print(f"core with {len(core.members)} members: {args.out}")
@@ -169,8 +179,8 @@ def cmd_core(args) -> int:
 
 
 def cmd_compare(args) -> int:
-    H1 = _load_hierarchy(args.left_hierarchy)
-    H2 = _load_hierarchy(args.right_hierarchy)
+    H1 = _load_host(args.left_hierarchy)
+    H2 = _load_host(args.right_hierarchy)
     C1 = pfio.read_core(args.left, H1)
     C2 = pfio.read_core(args.right, H2)
     result = compare_cores(C1, C2)
@@ -203,7 +213,7 @@ def cmd_chains(args) -> int:
 
 def cmd_rule_test(args) -> int:
     rule = pfio.loads_rule(_read(args.rule))
-    H = _load_hierarchy(args.hierarchy)
+    H = _load_host(args.hierarchy)
     budget = Budget(max_coverings=args.max_coverings)
     verdict = test_cofinal_validity(rule.premise, rule.conclusion, H, budget)
     print(pfio.dumps_verdict(verdict), end="")

@@ -5,6 +5,10 @@ exponent itself a term.  The empty sum is 0.  Canonical form is unique, so
 term equality is structural equality.  The additively indecomposable terms
 are exactly the single-summand terms w^g; 0 is not indecomposable.
 
+A term's key is the tuple of its exponents' keys.  Python orders tuples
+lexicographically, a proper prefix first, as descending exponent sequences
+order ordinals; by induction on depth, keys compare exactly as their terms do.
+
 Everything here is a pure function of immutable values.
 """
 
@@ -27,56 +31,46 @@ class OrdinalTerm:
 
     ``exponents`` is the non-strictly descending tuple of summand exponents;
     the constructor rejects out-of-order input, so every reachable value is
-    canonical.
+    canonical.  Every comparison reads ``key``, ``tuple(e.key for e in
+    exponents)``, whose tuple order is the ordinal order (see the module
+    docstring); the hash, ``hash(key)``, equals ``hash(exponents)``.
     """
 
-    __slots__ = ("exponents", "_hash")
+    __slots__ = ("exponents", "key", "_hash")
 
     def __init__(self, exponents: Tuple["OrdinalTerm", ...] = ()):
         exponents = tuple(exponents)
         for e in exponents:
             if not isinstance(e, OrdinalTerm):
                 raise TypeError("exponents must be OrdinalTerm values")
-        for hi, lo in zip(exponents, exponents[1:]):
-            if compare(hi, lo) < 0:
-                raise NonCanonicalTermError(
-                    "summand exponents must be non-strictly descending"
-                )
+        key = tuple(e.key for e in exponents)
+        for hi, lo in zip(key, key[1:]):
+            if hi < lo:
+                raise NonCanonicalTermError("summand exponents must be non-strictly descending")
         object.__setattr__(self, "exponents", exponents)
-        object.__setattr__(self, "_hash", None)
+        object.__setattr__(self, "key", key)
+        object.__setattr__(self, "_hash", hash(key))
 
     def __setattr__(self, name, value):
         raise AttributeError("OrdinalTerm is immutable")
 
     def __hash__(self):
-        h = self._hash
-        if h is None:
-            h = hash(self.exponents)
-            object.__setattr__(self, "_hash", h)
-        return h
+        return self._hash
 
     def __eq__(self, other):
-        if self is other:
-            return True
-        if not isinstance(other, OrdinalTerm):
-            return NotImplemented
-        return self.exponents == other.exponents
-
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return eq if eq is NotImplemented else not eq
+        return self.key == other.key if isinstance(other, OrdinalTerm) else NotImplemented
 
     def __lt__(self, other):
-        return compare(self, other) < 0
+        return self.key < other.key
 
     def __le__(self, other):
-        return compare(self, other) <= 0
+        return self.key <= other.key
 
     def __gt__(self, other):
-        return compare(self, other) > 0
+        return self.key > other.key
 
     def __ge__(self, other):
-        return compare(self, other) >= 0
+        return self.key >= other.key
 
     def __repr__(self):
         return f"OrdinalTerm({format_term(self)!r})"
@@ -91,19 +85,8 @@ OMEGA = OrdinalTerm((ONE,))
 
 
 def compare(a: OrdinalTerm, b: OrdinalTerm) -> int:
-    """Total order on canonical terms: -1, 0 or 1.
-
-    Descending summand sequences compare lexicographically, a proper prefix
-    being smaller; this realizes the ordinal order.
-    """
-    if a is b:
-        return 0
-    for ea, eb in zip(a.exponents, b.exponents):
-        c = compare(ea, eb)
-        if c:
-            return c
-    la, lb = len(a.exponents), len(b.exponents)
-    return (la > lb) - (la < lb)
+    """Total order on canonical terms: -1, 0 or 1, read from their keys."""
+    return (a.key > b.key) - (a.key < b.key)
 
 
 def add(a: OrdinalTerm, b: OrdinalTerm) -> OrdinalTerm:
@@ -309,9 +292,13 @@ def induced_embedding(
 # Text form.  Grammar:  T ::= "0" | S ("+" S)*
 #                       S ::= "w^(" T ")" | "w" | "1" | positive integer
 # "1" abbreviates w^(0), "w" abbreviates w^(w^(0)), an integer n (written
-# without a leading zero) abbreviates n summands w^(0).  Summands must already
-# be descending; the parser rejects non-canonical order instead of re-sorting.
+# without a leading zero) abbreviates n summands w^(0); n is at most
+# MAX_INTEGER, checked before allocating, since a closed set holding n has n+1
+# elements.  Summands must already be descending; the parser rejects
+# non-canonical order instead of re-sorting.
 # ---------------------------------------------------------------------------
+
+MAX_INTEGER = 10**6
 
 
 def parse_term(text: str) -> OrdinalTerm:
@@ -347,6 +334,8 @@ def _parse_summand(s: str, pos: int):
             end += 1
         if int(ch) == 0:
             raise TermSyntaxError("'0' cannot appear inside a sum or lead an integer")
+        if end - pos > len(str(MAX_INTEGER)) or int(s[pos:end]) > MAX_INTEGER:
+            raise TermSyntaxError(f"integer at position {pos} exceeds {MAX_INTEGER}")
         return [ZERO] * int(s[pos:end]), end
     raise TermSyntaxError(f"unexpected {ch!r} at position {pos}")
 

@@ -24,6 +24,18 @@ from patternforge.hierarchy import game_pass
 from patternforge.ordinals import parts_closure, split_parts, summands
 
 
+def brute_compare(a: OrdinalTerm, b: OrdinalTerm) -> int:
+    """The ordinal order by its definition on Cantor normal forms, -1, 0 or 1:
+    the first differing exponent decides, recursively, and a proper prefix of
+    the summands is smaller."""
+    for ea, eb in zip(a.exponents, b.exponents):
+        c = brute_compare(ea, eb)
+        if c:
+            return c
+    la, lb = len(a.exponents), len(b.exponents)
+    return (la > lb) - (la < lb)
+
+
 def brute_validate(universe, le1, le2) -> bool:
     """Direct evaluation of every quantified pattern clause."""
     elems = sorted(set(universe))

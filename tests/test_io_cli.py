@@ -10,6 +10,7 @@ import patternforge
 from patternforge import (
     ONE,
     OMEGA,
+    Hierarchy,
     Pattern,
     ZERO,
     closure,
@@ -17,11 +18,13 @@ from patternforge import (
     export_dot,
     find_isomorphism,
     format_term,
+    make_generic,
     parse_term,
     search_coverings,
     trivial_pattern,
 )
 from patternforge import io as pfio
+from patternforge import ordinals
 
 
 def t(s):
@@ -342,6 +345,60 @@ def test_cli_validate_non_string_term_is_usage_error(workdir):
     res = run_cli(["validate", "numeric.pattern"], workdir)
     assert res.returncode == 2
     assert "must be a string" in res.stderr
+
+
+def test_cli_validate_oversized_integer_is_usage_error(workdir):
+    big = ordinals.MAX_INTEGER + 1
+    text = f'patternforge-v1\n{{"universe": ["0", "{big}"], "le1": [], "le2": []}}\n'
+    (workdir / "huge.pattern").write_text(text)
+    res = run_cli(["validate", "huge.pattern"], workdir)
+    assert res.returncode == 2
+    assert "exceeds" in res.stderr
+
+
+@pytest.fixture()
+def invalid_host(workdir, hierarchy_omega2):
+    """bad.hier has 1 le1 w le1 w^2 but not 1 le1 w^2, so le1 is not
+    transitive; the cores and the rule beside it are the library's own."""
+    C = closure([t("w+1"), t("w^(2)")])
+    refl = {(x, x) for x in C}
+    le1 = frozenset(refl | {(ONE, OMEGA), (OMEGA, t("w^(2)"))})
+    bad = Hierarchy(C, t("w^(3)"), le1, frozenset(refl))
+    (workdir / "bad.hier").write_text(pfio.dumps_hierarchy(bad))
+    pfio.write_core(compute_core(bad, 1), workdir / "bad.core")
+    (workdir / "small.hier").write_text(pfio.dumps_hierarchy(hierarchy_omega2))
+    pfio.write_core(compute_core(hierarchy_omega2, 1), workdir / "small.core")
+    ident = make_generic(trivial_pattern([ONE]), trivial_pattern([ONE]))
+    (workdir / "ident.rule").write_text(pfio.dumps_rule(ident))
+    return workdir
+
+
+HOST_COMMANDS = {
+    "cover": "cover --pattern good.pattern --hierarchy bad.hier",
+    "isominimal": "isominimal --pattern good.pattern --hierarchy bad.hier",
+    "core": "core --hierarchy bad.hier --bound 1 --out again.core",
+    "compare-left": "compare --left bad.core --right small.core "
+                    "--left-hierarchy bad.hier --right-hierarchy small.hier",
+    "compare-right": "compare --left small.core --right bad.core "
+                     "--left-hierarchy small.hier --right-hierarchy bad.hier",
+    "rule-test": "rule-test --rule ident.rule --hierarchy bad.hier",
+}
+
+
+@pytest.mark.parametrize("command", sorted(HOST_COMMANDS))
+def test_cli_host_commands_reject_invalid_hierarchy(invalid_host, command):
+    res = run_cli(HOST_COMMANDS[command].split(), invalid_host)
+    assert res.returncode == 2
+    assert res.stdout == ""
+    assert "le1 not transitive" in res.stderr
+
+
+def test_cli_readers_accept_invalid_hierarchy(invalid_host):
+    res = run_cli(["axioms", "bad.hier"], invalid_host)
+    assert res.returncode == 1
+    assert "le1 not transitive" in res.stdout
+    assert run_cli(["chains", "bad.hier"], invalid_host).returncode == 0
+    assert run_cli(["export-dot", "bad.hier"], invalid_host).returncode == 0
 
 
 def test_cli_build_deterministic(workdir):

@@ -1,3 +1,4 @@
+import functools
 import itertools
 
 import pytest
@@ -19,7 +20,9 @@ from patternforge import (
     is_indecomposable,
     parse_term,
 )
+from patternforge import ordinals
 from patternforge.ordinals import omega_power, split_parts, summands
+from oracles import brute_compare
 
 
 def t(s):
@@ -40,6 +43,21 @@ def term_strategy(depth=2, max_summands=3):
 
 small_terms = term_strategy()
 term_sets = st.lists(small_terms, min_size=0, max_size=6).map(set)
+
+descending = functools.cmp_to_key(lambda a, b: brute_compare(b, a))
+
+
+def reference_terms(depth):
+    """Canonical terms nested up to `depth`, put in order by the reference
+    comparator alone."""
+    if depth == 0:
+        return st.just(ZERO)
+    return st.lists(reference_terms(depth - 1), max_size=3).map(
+        lambda exps: OrdinalTerm(tuple(sorted(exps, key=descending)))
+    )
+
+
+deep_terms = reference_terms(4)
 
 
 # -- parsing and printing -----------------------------------------------------
@@ -73,6 +91,14 @@ def test_parse_rejects_non_string(bad):
     # a JSON value of the wrong type is bad input, not a crash
     with pytest.raises(TermSyntaxError, match="must be a string"):
         t(bad)
+
+
+def test_parse_bounds_integer_literals():
+    bound = ordinals.MAX_INTEGER
+    assert len(t(str(bound)).exponents) == bound
+    for text in (str(bound + 1), f"w+{bound + 1}", f"w^({bound + 1})"):
+        with pytest.raises(TermSyntaxError, match="exceeds"):
+            t(text)
 
 
 def test_parse_rejects_noncanonical_exponent():
@@ -113,6 +139,32 @@ def test_compare_total_order():
     for i, a in enumerate(sample):
         for j, b in enumerate(sample):
             assert compare(a, b) == (i > j) - (i < j)
+
+
+@given(deep_terms, deep_terms, st.integers(min_value=0, max_value=3))
+@settings(max_examples=300)
+def test_order_agrees_with_reference(a, b, cut):
+    # a fresh equal term and a prefix of a's summands, besides the random b
+    for other in (b, OrdinalTerm(a.exponents), OrdinalTerm(a.exponents[:cut])):
+        c = brute_compare(a, other)
+        assert compare(a, other) == c
+        assert (a < other, a <= other, a == other, a != other, a >= other, a > other) == (
+            c < 0, c <= 0, c == 0, c != 0, c >= 0, c > 0,
+        )
+    assert a.key == tuple(e.key for e in a.exponents)
+    assert hash(a) == hash(a.exponents)
+
+
+@given(st.lists(deep_terms, max_size=4), st.booleans())
+@settings(max_examples=300)
+def test_constructor_rejects_exactly_ascending_pairs(exps, sort):
+    if sort:
+        exps.sort(key=descending)
+    if any(brute_compare(hi, lo) < 0 for hi, lo in zip(exps, exps[1:])):
+        with pytest.raises(NonCanonicalTermError):
+            OrdinalTerm(tuple(exps))
+    else:
+        assert OrdinalTerm(tuple(exps)).exponents == tuple(exps)
 
 
 def test_add_examples():
