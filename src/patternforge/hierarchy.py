@@ -28,6 +28,16 @@ uses, plus strict-pair indecomposability (indecomposable_endpoints).
 Rounds evaluate all pairs against an immutable snapshot, so the result is
 independent of evaluation order and bit-exact across rebuilds.
 
+A round decides some games without playing them, and prunes exactly what
+playing them would (see _game_round):
+  (i)  a failed one-round game of (alpha, beta) fails for every larger beta.
+       The larger beta's reduced challenge keeps alpha's rank cut and shed
+       zone, so it contains the smaller one, with more pins and the same
+       ceiling alpha; restricting a witness for it, as game_pass does for
+       the dominant challenge, would give a witness for the smaller one.
+  (ii) a pair's two-round game fails whenever its one-round game fails: it
+       passes only through a forward witness of the same search.
+
 The games run on the carrier's rank index (ClosedSet.index): the reduced
 challenge is cut out by rank bounds and closed by one descending sweep
 over split-part ranks, and the pins and the backward source are prefixes of
@@ -143,10 +153,12 @@ def game_pass(
 
     Only the dominant challenge needs checking: a witness for it restricts to
     a witness for every smaller challenge (the test suite verifies this
-    against an oracle that sweeps all closed challenges).  Passing an explicit
-    challenge, a closed subset of the carrier, overrides the reduction;
-    moved_floor additionally requires all non-fixed witness images to lie
-    strictly above it.
+    against an oracle that sweeps all closed challenges).  The same
+    restriction, from the challenge of a larger beta to that of a smaller
+    one, is what lets a round infer one-round failures (_game_round, (i)).
+    Passing an explicit challenge, a closed subset of the carrier, overrides
+    the reduction; moved_floor additionally requires all non-fixed witness
+    images to lie strictly above it.
 
     The challenge is searched with the snapshot relations themselves, not
     their restriction to it: the search only asks about pairs of challenge
@@ -223,16 +235,41 @@ def _game_round(
     carrier: ClosedSet, rel1: set, rel2: set, snap1: FrozenSet[Pair], snap2: FrozenSet[Pair]
 ) -> Tuple[int, int]:
     """Prune every pair failing its game against the snapshot relations,
-    visiting pairs in ascending (beta, alpha) order."""
+    visiting pairs in ascending (beta, alpha) order.
+
+    Two outcomes are inferred instead of played; every game of the round
+    reads the same snapshot, so both are exact:
+
+    (i)  once the one-round game of (alpha, beta) fails, it fails for every
+         larger beta'.  The reduced challenge of (alpha, beta') keeps the
+         same rank cut and shed zone for alpha and contains that of
+         (alpha, beta), its pins contain theirs, and the ceiling is alpha
+         for both.  A witness for the larger challenge would restrict to one
+         for the smaller: the restriction is still arithmetic, increasing,
+         below alpha and relation-preserving, and fixes the smaller pins.
+    (ii) the two-round game of a pair fails whenever its one-round game
+         does: it searches the same source, target and limits and passes
+         only after that search yields a forward witness.
+
+    So one failed one-round game of alpha prunes (alpha, beta') from both
+    relations for every later beta', whether or not (alpha, beta') is in le1.
+    """
     pruned1 = pruned2 = 0
     elems = carrier.elements
+    failed1 = set()  # alphas whose one-round game failed at some beta so far
     for b, beta in enumerate(elems):
         for alpha in elems[:b]:
-            if (alpha, beta) in rel1 and not game_pass(1, alpha, beta, carrier, snap1, snap2):
-                rel1.discard((alpha, beta))
-                pruned1 += 1
-            if (alpha, beta) in rel2 and not game_pass(2, alpha, beta, carrier, snap1, snap2):
-                rel2.discard((alpha, beta))
+            pair = (alpha, beta)
+            if alpha not in failed1 and pair in rel1:
+                if not game_pass(1, alpha, beta, carrier, snap1, snap2):
+                    failed1.add(alpha)
+            if alpha in failed1:  # both games fail, by (i) and (ii)
+                pruned1 += pair in rel1
+                pruned2 += pair in rel2
+                rel1.discard(pair)
+                rel2.discard(pair)
+            elif pair in rel2 and not game_pass(2, alpha, beta, carrier, snap1, snap2):
+                rel2.discard(pair)
                 pruned2 += 1
     return pruned1, pruned2
 

@@ -294,8 +294,10 @@ def induced_embedding(
 # "1" abbreviates w^(0), "w" abbreviates w^(w^(0)), an integer n (written
 # without a leading zero) abbreviates n summands w^(0); n is at most
 # MAX_INTEGER, checked before allocating, since a closed set holding n has n+1
-# elements.  Summands must already be descending; the parser rejects
-# non-canonical order instead of re-sorting.
+# elements.  The summands one parse builds, counted at every nesting depth,
+# are bounded by MAX_INTEGER too, also checked before allocating, so a sum of
+# literals cannot get round the bound.  Summands must already be descending;
+# the parser rejects non-canonical order instead of re-sorting.
 # ---------------------------------------------------------------------------
 
 MAX_INTEGER = 10**6
@@ -309,7 +311,7 @@ def parse_term(text: str) -> OrdinalTerm:
     if not s:
         raise TermSyntaxError("empty ordinal expression")
     try:
-        term, pos = _parse_subterm(s, 0)
+        term, pos = _parse_subterm(s, 0, [0])
     except NonCanonicalTermError:
         raise NonCanonicalTermError(f"summands of {text!r} are not in descending order") from None
     if pos != len(s):
@@ -317,13 +319,22 @@ def parse_term(text: str) -> OrdinalTerm:
     return term
 
 
-def _parse_summand(s: str, pos: int):
+def _count_summands(built: list, n: int, pos: int) -> None:
+    """Add n to built[0], the summands the whole parse has built so far,
+    before they are made."""
+    built[0] += n
+    if built[0] > MAX_INTEGER:
+        raise TermSyntaxError(f"summand count at position {pos} exceeds {MAX_INTEGER}")
+
+
+def _parse_summand(s: str, pos: int, built: list):
     if pos >= len(s):
         raise TermSyntaxError("expected a summand, found end of input")
     ch = s[pos]
     if ch == "w":
+        _count_summands(built, 1, pos)
         if s.startswith("w^(", pos):
-            inner, pos = _parse_subterm(s, pos + 3)
+            inner, pos = _parse_subterm(s, pos + 3, built)
             if pos >= len(s) or s[pos] != ")":
                 raise TermSyntaxError("missing ')' in w^(...)")
             return [inner], pos + 1
@@ -334,13 +345,15 @@ def _parse_summand(s: str, pos: int):
             end += 1
         if int(ch) == 0:
             raise TermSyntaxError("'0' cannot appear inside a sum or lead an integer")
-        if end - pos > len(str(MAX_INTEGER)) or int(s[pos:end]) > MAX_INTEGER:
+        if end - pos > len(str(MAX_INTEGER)):
             raise TermSyntaxError(f"integer at position {pos} exceeds {MAX_INTEGER}")
-        return [ZERO] * int(s[pos:end]), end
+        n = int(s[pos:end])
+        _count_summands(built, n, pos)
+        return [ZERO] * n, end
     raise TermSyntaxError(f"unexpected {ch!r} at position {pos}")
 
 
-def _parse_subterm(s: str, pos: int):
+def _parse_subterm(s: str, pos: int, built: list):
     """Parse a T production starting at pos, stopping before the first
     character that cannot continue it; OrdinalTerm rejects summands out of
     descending order."""
@@ -351,7 +364,7 @@ def _parse_subterm(s: str, pos: int):
         return ZERO, nxt
     exponents = []
     while True:
-        exps, pos = _parse_summand(s, pos)
+        exps, pos = _parse_summand(s, pos, built)
         exponents.extend(exps)
         if pos < len(s) and s[pos] == "+":
             pos += 1

@@ -12,6 +12,7 @@ rule completion all read their verdicts from it.
 
 from __future__ import annotations
 
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
 from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
 
@@ -72,15 +73,27 @@ def order_clause_failures(
       term order     1 (a, b)     (a, b) in le1 but not a <= b
       respect        k (a, b, c)  (a, c) in le_k, a le_{k-1} b le_{k-1} c with
                                   le0 the term order, but not (a, b)
+
+    The middle element b and the third element c are walked in ascending
+    order among elems only: transitivity walks c over b's successors in
+    le_k, 2-respect walks b over a's successors in le1 (both lists built
+    once, from the sorted pairs), and 1-respect walks b over the slice of
+    elems between a and c, found by bisection.
     """
+    eset = set(elems)
     sorted1, sorted2 = sorted(le1), sorted(le2)
-    for k, rel, pairs in ((1, le1, sorted1), (2, le2, sorted2)):
+    succ1, succ2 = {}, {}  # element -> its successors in elems, ascending
+    for succ, pairs in ((succ1, sorted1), (succ2, sorted2)):
+        for a, b in pairs:
+            if b in eset:
+                succ.setdefault(a, []).append(b)
+    for k, rel, pairs, succ in ((1, le1, sorted1, succ1), (2, le2, sorted2, succ2)):
         for a, b in pairs:
             if (b, a) in rel and a < b:
                 yield "antisymmetric", k, (a, b)
         for a, b in pairs:
-            for c in elems:
-                if (b, c) in rel and (a, c) not in rel:
+            for c in succ.get(b, ()):
+                if (a, c) not in rel:
                     yield "transitive", k, (a, b, c)
     for a, b in sorted2:
         if (a, b) not in le1:
@@ -89,12 +102,12 @@ def order_clause_failures(
         if not a <= b:
             yield "term order", 1, (a, b)
     for a, c in sorted1:
-        for b in elems:
-            if a <= b <= c and (a, b) not in le1:
+        for b in elems[bisect_left(elems, a) : bisect_right(elems, c)]:
+            if (a, b) not in le1:
                 yield "respect", 1, (a, b, c)
     for a, c in sorted2:
-        for b in elems:
-            if (a, b) in le1 and (b, c) in le1 and (a, b) not in le2:
+        for b in succ1.get(a, ()):
+            if (b, c) in le1 and (a, b) not in le2:
                 yield "respect", 2, (a, b, c)
 
 

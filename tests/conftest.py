@@ -1,4 +1,5 @@
 import json
+from itertools import combinations
 from pathlib import Path
 
 import pytest
@@ -161,3 +162,52 @@ def valid_hierarchies(draw, max_elements=8):
     assert brute_validate(carrier.elements, le1, le2)
     assert all(indecomposable_endpoints(k, a, b) for k, rel in ((1, le1), (2, le2)) for a, b in rel if a != b)
     return Hierarchy(carrier=carrier, top=parse_term("w^(w^(w))"), le1=frozenset(le1), le2=frozenset(le2))
+
+
+# every distinct closed carrier of at most 9 elements generated by FORGE_POOL
+# terms, ascending by size; drawn uniformly, the few with room for strict
+# pairs to pass a game are not left to chance
+FORGE_CARRIERS = sorted(
+    {
+        c
+        for r in range(len(FORGE_POOL) + 1)
+        for gens in combinations(FORGE_POOL, r)
+        for c in [closure(parse_term(g) for g in gens)]
+        if len(c) <= 9
+    },
+    key=lambda c: (len(c), c.elements),
+)
+
+
+@st.composite
+def forged_snapshots(draw, max_elements=9):
+    """A closed carrier of at most max_elements terms with two snapshot
+    relations as a game round reads them: each the full order minus a few
+    pairs, plus at most two reversed pairs, drawn independently, so le2 need
+    not lie inside le1 and reflexive pairs may be missing."""
+    carrier = draw(st.sampled_from([c for c in FORGE_CARRIERS if len(c) <= max_elements]))
+    ascending = [(a, b) for a in carrier for b in carrier if a <= b]
+    reversed_ = [(b, a) for a, b in ascending if a != b]
+    rels = []
+    for _ in range(2):
+        drop = draw(st.sets(st.sampled_from(ascending), max_size=4))
+        extra = draw(st.sets(st.sampled_from(reversed_), max_size=2)) if reversed_ else set()
+        rels.append(frozenset(set(ascending) - drop | extra))
+    return carrier, rels[0], rels[1]
+
+
+@st.composite
+def clause_inputs(draw):
+    """An ascending sub-list of a closed carrier as elems, with two random
+    relations on the whole carrier: pairs may be reversed or have an endpoint
+    outside elems."""
+    gens = draw(st.sets(st.sampled_from(FORGE_POOL), min_size=1, max_size=3))
+    carrier = closure(parse_term(g) for g in gens).elements
+    keep = draw(st.lists(st.booleans(), min_size=len(carrier), max_size=len(carrier)))
+    elems = [x for x, k in zip(carrier, keep) if k]
+    pairs = [(a, b) for a in carrier for b in carrier]
+    rels = []
+    for _ in range(2):
+        mask = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+        rels.append({p for p, k in zip(pairs, mask) if k})
+    return elems, rels[0], rels[1]

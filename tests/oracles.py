@@ -386,3 +386,49 @@ def valid_relation_assignments(universe):
             if brute_validate(elems, le1, le2):
                 out.append((tuple(le1), tuple(le2)))
     return out
+
+
+def naive_game_round(carrier, rel1, rel2, snap1, snap2):
+    """One game round with no inference: game_pass for every strict pair of
+    both relations against the snapshots, in ascending (beta, alpha) order,
+    discarding each pair that fails.  Returns the pruned counts."""
+    pruned1 = pruned2 = 0
+    elems = carrier.elements
+    for b, beta in enumerate(elems):
+        for alpha in elems[:b]:
+            if (alpha, beta) in rel1 and not game_pass(1, alpha, beta, carrier, snap1, snap2):
+                rel1.discard((alpha, beta))
+                pruned1 += 1
+            if (alpha, beta) in rel2 and not game_pass(2, alpha, beta, carrier, snap1, snap2):
+                rel2.discard((alpha, beta))
+                pruned2 += 1
+    return pruned1, pruned2
+
+
+def naive_clause_failures(elems, le1, le2):
+    """Every failed order or respect clause as (clause, k, witness), in the
+    order patterns.order_clause_failures documents, each middle or third
+    element tried against every element of the ascending elems."""
+    sorted1, sorted2 = sorted(le1), sorted(le2)
+    for k, rel, pairs in ((1, le1, sorted1), (2, le2, sorted2)):
+        for a, b in pairs:
+            if (b, a) in rel and a < b:
+                yield "antisymmetric", k, (a, b)
+        for a, b in pairs:
+            for c in elems:
+                if (b, c) in rel and (a, c) not in rel:
+                    yield "transitive", k, (a, b, c)
+    for a, b in sorted2:
+        if (a, b) not in le1:
+            yield "inclusion", 2, (a, b)
+    for a, b in sorted1:
+        if not a <= b:
+            yield "term order", 1, (a, b)
+    for a, c in sorted1:
+        for b in elems:
+            if a <= b <= c and (a, b) not in le1:
+                yield "respect", 1, (a, b, c)
+    for a, c in sorted2:
+        for b in elems:
+            if (a, b) in le1 and (b, c) in le1 and (a, b) not in le2:
+                yield "respect", 2, (a, b, c)

@@ -13,11 +13,19 @@ from patternforge import (
     one_more_round,
     parse_term,
 )
-from patternforge.hierarchy import game_pass, reduced_challenge
+from patternforge.hierarchy import _game_round, game_pass, reduced_challenge
 from patternforge import io as pfio
-from conftest import SHIPPED, built, forged_relations, make_carrier, valid_hierarchies
+from conftest import (
+    FORGE_CARRIERS,
+    SHIPPED,
+    built,
+    forged_relations,
+    forged_snapshots,
+    make_carrier,
+    valid_hierarchies,
+)
 from hypothesis import given, settings, strategies as st
-from oracles import brute_le_inf, brute_validate, game_all_challenges
+from oracles import brute_le_inf, brute_validate, game_all_challenges, naive_game_round
 
 
 def t(s):
@@ -174,6 +182,72 @@ def test_single_challenge_equality_on_initial_relations():
                 H0 = Hierarchy(carrier, t("w^(3)"), full, full)
                 slow = game_all_challenges(k, a, b, H0)
                 assert fast == slow, (k, str(a), str(b))
+
+
+# -- outcomes a round infers instead of playing -------------------------------
+
+
+@given(forged_snapshots())
+@settings(max_examples=150, deadline=None)
+def test_game_round_matches_playing_every_game(case):
+    # the round skips games whose outcome (i) or (ii) already decides; on any
+    # snapshot, valid or not, it must prune exactly what playing them all does
+    carrier, snap1, snap2 = case
+    fast = set(snap1), set(snap2)
+    slow = set(snap1), set(snap2)
+    counts = _game_round(carrier, *fast, snap1, snap2)
+    assert counts == naive_game_round(carrier, *slow, snap1, snap2)
+    assert fast == slow
+
+
+def _strict_outcomes(k, case, window):
+    """game_pass for every strict pair, with no moved floor and with each
+    carrier element as the floor."""
+    carrier, snap1, snap2 = case
+    elems = carrier.elements
+    return {
+        (floor, a, b): game_pass(k, a, b, carrier, snap1, snap2, window=window, moved_floor=floor)
+        for floor in (None,) + elems
+        for i, a in enumerate(elems)
+        for b in elems[i + 1 :]
+    }
+
+
+def _assert_one_round_pass_carries_down(passes, elems):
+    # (i): a witness for (a, b2) restricts to one for (a, b1), a < b1 < b2
+    for (floor, a, b2), passed in passes.items():
+        if passed:
+            for b1 in elems:
+                if a < b1 < b2:
+                    assert passes[floor, a, b1], (str(floor), str(a), str(b1), str(b2))
+
+
+@pytest.mark.parametrize("window", range(4))
+@given(forged_snapshots(max_elements=8))
+@settings(max_examples=20, deadline=None)
+def test_one_round_pass_carries_down_in_beta(window, case):
+    _assert_one_round_pass_carries_down(_strict_outcomes(1, case, window), case[0].elements)
+
+
+def test_one_round_pass_carries_down_in_beta_on_full_orders():
+    # a round's first snapshot on every forged carrier: random snapshots
+    # rarely pass a game with an element between b1 and b2, these do 80 times
+    for carrier in FORGE_CARRIERS:
+        elems = carrier.elements
+        full = frozenset((a, b) for a in elems for b in elems if a <= b)
+        for window in range(4):
+            passes = _strict_outcomes(1, (carrier, full, full), window)
+            _assert_one_round_pass_carries_down(passes, elems)
+
+
+@pytest.mark.parametrize("window", range(4))
+@given(forged_snapshots(max_elements=8))
+@settings(max_examples=20, deadline=None)
+def test_two_round_pass_implies_one_round_pass(window, case):
+    # (ii): the two-round game passes only through a one-round witness
+    passes1 = _strict_outcomes(1, case, window)
+    passes2 = _strict_outcomes(2, case, window)
+    assert all(passes1[key] for key, passed in passes2.items() if passed)
 
 
 def test_reduced_challenge_keeps_mandatory_parts():

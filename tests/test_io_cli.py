@@ -356,6 +356,16 @@ def test_cli_validate_oversized_integer_is_usage_error(workdir):
     assert "exceeds" in res.stderr
 
 
+def test_cli_validate_oversized_sum_is_usage_error(workdir):
+    # every literal is within the bound, their sum is not
+    big = ordinals.MAX_INTEGER
+    text = f'patternforge-v1\n{{"universe": ["0", "{big}+{big}+{big}"], "le1": [], "le2": []}}\n'
+    (workdir / "huge-sum.pattern").write_text(text)
+    res = run_cli(["validate", "huge-sum.pattern"], workdir)
+    assert res.returncode == 2
+    assert "exceeds" in res.stderr
+
+
 @pytest.fixture()
 def invalid_host(workdir, hierarchy_omega2):
     """bad.hier has 1 le1 w le1 w^2 but not 1 le1 w^2, so le1 is not

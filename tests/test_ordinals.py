@@ -101,6 +101,16 @@ def test_parse_bounds_integer_literals():
             t(text)
 
 
+def test_parse_bounds_summands_of_the_whole_term():
+    # the bound is on all summands one parse builds, at every depth
+    bound = ordinals.MAX_INTEGER
+    assert len(t(f"w+{bound - 1}").exponents) == bound
+    half = bound // 2
+    for text in (f"{bound}+{bound}+{bound}", f"w+{bound}", f"w^({bound})", f"w^(w^({half}))+w^({half})"):
+        with pytest.raises(TermSyntaxError, match="exceeds"):
+            t(text)
+
+
 def test_parse_rejects_noncanonical_exponent():
     with pytest.raises(NonCanonicalTermError):
         t("w^(1+w)")

@@ -21,8 +21,9 @@ from patternforge import (
     validate_structure,
 )
 from patternforge.cores import closed_subsets
-from conftest import built
-from oracles import brute_isomorphism, brute_validate, valid_relation_assignments
+from patternforge.patterns import order_clause_failures
+from conftest import built, clause_inputs
+from oracles import brute_isomorphism, brute_validate, naive_clause_failures, valid_relation_assignments
 
 
 def t(s):
@@ -91,6 +92,15 @@ def test_validator_matches_bruteforce_quantifiers():
                 ok_prod = validate_structure(universe, le1, le2) == []
                 ok_brute = brute_validate(universe, le1, le2)
                 assert ok_prod == ok_brute, (universe, le1, le2)
+
+
+@given(clause_inputs())
+@settings(max_examples=200, deadline=None)
+def test_clause_engine_matches_naive_loops(case):
+    # the engine walks successors and bisected slices instead of every
+    # element; the witnesses and their order must not change
+    elems, le1, le2 = case
+    assert list(order_clause_failures(elems, le1, le2)) == list(naive_clause_failures(elems, le1, le2))
 
 
 # -- substructures ------------------------------------------------------------
