@@ -7,6 +7,7 @@ Exit codes: 0 success or affirmative result, 1 well-formed negative result,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from pathlib import Path
@@ -241,7 +242,11 @@ def cmd_export_dot(args) -> int:
 # -- wiring -------------------------------------------------------------------
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: parse_args reads it
+    and leaves it unchanged, and every call gets a fresh namespace.  The
+    subcommand name, args.command, selects the cmd_ handler (see main)."""
     parser = argparse.ArgumentParser(
         prog="patternforge",
         description="finite resemblance patterns over Cantor-normal-form ordinals",
@@ -251,73 +256,65 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("validate", help="check a pattern file")
     p.add_argument("pattern")
     p.add_argument("--format", choices=("human", "json"), default="human")
-    p.set_defaults(fn=cmd_validate)
 
     p = sub.add_parser("build", help="build a hierarchy from a carrier file")
     p.add_argument("--carrier", required=True)
     p.add_argument("--top", required=True)
     p.add_argument("--out", default=None)
-    p.set_defaults(fn=cmd_build)
 
     p = sub.add_parser("axioms", help="check hierarchy hypotheses and diagnostics")
     p.add_argument("hierarchy")
     p.add_argument("--window", type=int, default=1)
     p.add_argument("--format", choices=("human", "json"), default="human")
-    p.set_defaults(fn=cmd_axioms)
 
     p = sub.add_parser("cover", help="enumerate coverings of a pattern")
     p.add_argument("--pattern", required=True)
     p.add_argument("--hierarchy", required=True)
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--format", choices=("human", "json"), default="human")
-    p.set_defaults(fn=cmd_cover)
 
     p = sub.add_parser("isominimal", help="minimal realization of a pattern")
     p.add_argument("--pattern", required=True)
     p.add_argument("--hierarchy", required=True)
     p.add_argument("--out", default=None)
     p.add_argument("--format", choices=("human", "json"), default="human")
-    p.set_defaults(fn=cmd_isominimal)
 
     p = sub.add_parser("core", help="compute the core of a hierarchy")
     p.add_argument("--hierarchy", required=True)
     p.add_argument("--bound", type=int, required=True)
     p.add_argument("--out", required=True)
-    p.set_defaults(fn=cmd_core)
 
     p = sub.add_parser("compare", help="compare two cores positionally")
     p.add_argument("--left", required=True)
     p.add_argument("--right", required=True)
     p.add_argument("--left-hierarchy", required=True)
     p.add_argument("--right-hierarchy", required=True)
-    p.set_defaults(fn=cmd_compare)
 
     p = sub.add_parser("chains", help="longest strict le2 chain")
     p.add_argument("hierarchy")
     p.add_argument("--sugar", action="store_true")
-    p.set_defaults(fn=cmd_chains)
 
     p = sub.add_parser("rule-test", help="budgeted cofinal validity of a rule")
     p.add_argument("--rule", required=True)
     p.add_argument("--hierarchy", required=True)
     p.add_argument("--max-coverings", type=int, default=None)
-    p.set_defaults(fn=cmd_rule_test)
 
     p = sub.add_parser("export-dot", help="graph text for a pattern/hierarchy/core")
     p.add_argument("input")
     p.add_argument("--out", default=None)
     p.add_argument("--sugar", action="store_true")
     p.add_argument("--hierarchy", default=None, help="host hierarchy for core files")
-    p.set_defaults(fn=cmd_export_dot)
 
     return parser
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
+    # the handler is looked up by name on each call, not held by the cached
+    # parser, so a later rebinding of cmd_<command> (a wrapper) takes effect
+    handler = globals()["cmd_" + args.command.replace("-", "_")]
     try:
-        return args.fn(args)
+        return handler(args)
     except (CliError, ValueError, KeyError, OSError) as e:
         print(f"error: {e}", file=sys.stderr)
         return USAGE

@@ -12,7 +12,6 @@ exceeds the bound of that old element's image.
 from __future__ import annotations
 
 import itertools
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
@@ -103,11 +102,13 @@ class RegressiveMap:
     @staticmethod
     def maximal(h: Covering) -> "RegressiveMap":
         """The pointwise-largest regressive map on the covering's range: each
-        indecomposable is bounded by its carrier predecessor.  It dominates
-        every other regressive map on the same domain."""
-        carrier = h.target.carrier.elements
+        indecomposable is bounded by its carrier predecessor, the element one
+        rank below it.  It dominates every other regressive map on the same
+        domain."""
+        carrier = h.target.carrier
+        index = carrier.index
         return RegressiveMap(
-            {xi: carrier[bisect_left(carrier, xi) - 1] for xi in h.range_indecomposables()}
+            {xi: carrier.elements[index.below(xi) - 1] for xi in h.range_indecomposables()}
         )
 
 
@@ -170,12 +171,17 @@ def search_coverings(
     fixed pins element images (a fixed prefix); lower_bounds forces chosen
     indecomposable images strictly above the given terms.  Unsatisfiable
     constraints produce an empty stream.
+
+    The search reads P's universe through its own rank index and the bitset
+    rows of P's relations from the embedding memo, shared with H's rows, so
+    covering one pattern again, as a rule probe does for each covering of
+    its premise, builds neither again.
     """
     pins = derive_indec_pins(dict(fixed)) if fixed else {}
     if pins is None:
         return
     floors = dict(lower_bounds) if lower_bounds else {}
-    source = SourceSpec(elements=P.universe.elements, le1=P.le1, le2=P.le2)
+    source = SourceSpec(elements=P.universe, le1=P.le1, le2=P.le2)
     limits = SearchLimits(pinned=pins, indec_floors=floors)
     for assignment in search_embeddings(source, H.target_spec(), limits):
         yield Covering.from_map(P, H, assignment)

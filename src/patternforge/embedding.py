@@ -18,16 +18,23 @@ become rank bounds found once per search.  Each relation is held as bitset
 rows, one Python int per rank for the pairs leaving it and one for the pairs
 entering it, so preservation is a bit test per related pair; the pairs with
 elements already sent to their own rank (the pinned part of a game's
-challenge) take one mask test per row.  The target's rows are built once per
-(carrier, le1, le2) snapshot and memoized on the identity of those three
-objects in a small memo that holds them alive, so an id cannot be reused
-while its entry is live; only frozenset relations are memoized, since a
-mutable set can change between calls.  A source that uses the target's own
-relation objects and lies inside its carrier (every game the hierarchy
-plays) is searched on the target's ranks and rows directly; any other source
-(a pattern being covered) gets rows of its own, built once per search from
-its pairs.  Terms stay OrdinalTerm at the API: limits come in as terms and
-assignments go out as terms.
+challenge) take one mask test per row.
+
+A source that uses the target's own relation objects and lies inside its
+carrier (every game the hierarchy plays) is searched on the target's ranks
+and rows directly.  Any other source (a pattern being covered) is numbered
+by its universe's own rank index (ClosedSet.index, cached on the set, which
+already holds every element's summand ranks); a plain element tuple is
+wrapped in a ClosedSet once per search.  Rows, the target's and such a
+source's alike, are built once per (closed set, le1, le2) snapshot and
+memoized on the identity of those three objects in a small
+least-recently-used memo whose entries hold the objects alive, so an id
+cannot be reused while its entry is live.  Every hit refreshes its entry,
+so a host's rows stay cached while a stream of distinct patterns (the
+premises and conclusions of rules, the class representatives of a core)
+passes through.  Only frozenset relations are memoized, since a mutable set
+can change between calls.  Terms stay OrdinalTerm at the API: limits come
+in as terms and assignments go out as terms.
 """
 
 from __future__ import annotations
@@ -36,7 +43,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
 
-from .ordinals import ClosedSet, OrdinalTerm, ZERO, is_indecomposable, summands
+from .ordinals import ClosedSet, OrdinalTerm, ZERO, is_indecomposable, omega_power
 
 Pair = Tuple[OrdinalTerm, OrdinalTerm]
 Assignment = Dict[OrdinalTerm, OrdinalTerm]
@@ -44,10 +51,11 @@ Assignment = Dict[OrdinalTerm, OrdinalTerm]
 
 @dataclass(frozen=True)
 class SourceSpec:
-    """A finite closed element tuple (ascending) with its two relations; only
-    the pairs between its elements are read, so the relations may be larger."""
+    """A finite closed set of elements, as a ClosedSet or an ascending tuple,
+    with its two relations; only the pairs between its elements are read, so
+    the relations may be larger."""
 
-    elements: Tuple[OrdinalTerm, ...]
+    elements: ClosedSet | Tuple[OrdinalTerm, ...]
     le1: FrozenSet[Pair]
     le2: FrozenSet[Pair]
 
@@ -84,21 +92,24 @@ def derive_indec_pins(
     """Reduce element-level constraints to indecomposable-level pins.
 
     An element pin x -> y forces the i-th summand of x onto the i-th summand
-    of y.  Returns None when the pins are structurally unsatisfiable.
+    of y.  Returns None when the pins are structurally unsatisfiable: x and y
+    have different summand counts, or two pins send one summand to two
+    places.  A summand w^g is named by its exponent g, so the pins are
+    checked on exponents and each distinct summand pin is built as terms
+    once, in the order its first pin was met.
     """
-    pins: Dict[OrdinalTerm, OrdinalTerm] = {}
+    exponents: Dict[OrdinalTerm, OrdinalTerm] = {}
     for x, y in fixed.items():
-        xs, ys = summands(x), summands(y)
-        if len(xs) != len(ys):
+        if len(x.exponents) != len(y.exponents):
             return None
-        for sx, sy in zip(xs, ys):
-            if pins.setdefault(sx, sy) != sy:
+        for gx, gy in zip(x.exponents, y.exponents):
+            if exponents.setdefault(gx, gy) != gy:
                 return None
-    return pins
+    return {omega_power(gx): omega_power(gy) for gx, gy in exponents.items()}
 
 
 _ROWS_MEMO_SIZE = 8
-_rows_memo: Dict[Tuple[int, int, int], tuple] = {}
+_rows_memo: Dict[Tuple[int, int, int], tuple] = {}  # least recently used first
 
 
 def _rows(rank: Mapping, size: int, le1, le2) -> tuple:
@@ -116,17 +127,19 @@ def _rows(rank: Mapping, size: int, le1, le2) -> tuple:
     return tuple(rows)
 
 
-def _target_rows(carrier: ClosedSet, le1, le2) -> tuple:
-    """The target's rows over carrier ranks, memoized per frozenset snapshot."""
+def _memo_rows(elements: ClosedSet, le1, le2) -> tuple:
+    """The rows of le1 and le2 over the ranks of a closed set, memoized per
+    frozenset snapshot; a hit moves its entry to the recently used end."""
     if not (isinstance(le1, frozenset) and isinstance(le2, frozenset)):
-        return _rows(carrier.index.rank, len(carrier), le1, le2)
-    key = (id(carrier), id(le1), id(le2))
-    hit = _rows_memo.get(key)
+        return _rows(elements.index.rank, len(elements), le1, le2)
+    key = (id(elements), id(le1), id(le2))
+    hit = _rows_memo.pop(key, None)
     if hit is None:
         if len(_rows_memo) >= _ROWS_MEMO_SIZE:
             del _rows_memo[next(iter(_rows_memo))]
         # the entry keeps the three objects alive, so their ids stay theirs
-        hit = _rows_memo[key] = (carrier, le1, le2, _rows(carrier.index.rank, len(carrier), le1, le2))
+        hit = (elements, le1, le2, _rows(elements.index.rank, len(elements), le1, le2))
+    _rows_memo[key] = hit
     return hit[3]
 
 
@@ -142,22 +155,26 @@ def search_embeddings(
     carrier = target.carrier
     index = carrier.index
     tgt_elems = carrier.elements
-    tgt_rows = _target_rows(carrier, target.le1, target.le2)
+    tgt_rows = _memo_rows(carrier, target.le1, target.le2)
 
     # Source elements are numbered by ids: their carrier ranks when the
-    # source shares the target's relations and carrier, else their positions.
-    # sums[id] holds the ids of an element's summands, leading first.
+    # source shares the target's relations and carrier, else their ranks in
+    # the source's own closed set.  sums[id] holds the ids of an element's
+    # summands, leading first.
     elements = source.elements
-    ids = [index.rank.get(x) for x in elements]
-    shared = source.le1 is target.le1 and source.le2 is target.le2 and None not in ids
+    shared = source.le1 is target.le1 and source.le2 is target.le2
+    if shared:
+        ids = [index.rank.get(x) for x in elements]
+        shared = None not in ids
     if shared:
         sums, src_rows, keys = index.summands, tgt_rows, tgt_elems
+        id_of = dict(zip(elements, ids))
     else:
-        ids, keys = list(range(len(elements))), elements
-        pos = {x: p for p, x in enumerate(elements)}
-        sums = [tuple(pos[s] for s in summands(x)) for x in elements]
-        src_rows = _rows(pos, len(elements), source.le1, source.le2)
-    id_of = dict(zip(elements, ids))
+        if not isinstance(elements, ClosedSet):
+            elements = ClosedSet(elements)
+        own = elements.index
+        ids, keys, sums, id_of = range(len(elements)), elements.elements, own.summands, own.rank
+        src_rows = _memo_rows(elements, source.le1, source.le2)
     by_summands = index.by_summands
 
     indecs = [y for y in ids if len(sums[y]) == 1]

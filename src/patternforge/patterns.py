@@ -243,7 +243,7 @@ def trivial_pattern(universe: Iterable[OrdinalTerm]) -> Pattern:
 def is_closed_substructure(Q: Pattern, P: Pattern) -> bool:
     """True iff Q's universe is a closed subset of P's and Q's relations are
     exactly P's restrictions."""
-    if not set(Q.universe.elements) <= set(P.universe.elements):
+    if not Q.universe <= P.universe:
         return False
     keep = Q.universe.as_set()
     return Q.le1 == restrict_relation(P.le1, keep) and Q.le2 == restrict_relation(P.le2, keep)
@@ -276,9 +276,17 @@ def find_isomorphism(P: Pattern, Q: Pattern) -> Optional[Dict[OrdinalTerm, Ordin
     return dict(zip(P.universe, Q.universe)) if keys[0] == keys[1] else None
 
 
+def _ascending(X: Iterable[OrdinalTerm]) -> Sequence[OrdinalTerm]:
+    """X as an ascending sequence without repeats; a tuple that already is one
+    (a covering range, a closed set's elements) is returned as it is."""
+    if isinstance(X, tuple) and all(a < b for a, b in zip(X, X[1:])):
+        return X
+    return sorted(set(X))
+
+
 def pointwise_le(X: Iterable[OrdinalTerm], Y: Iterable[OrdinalTerm]) -> bool:
     """Compare equal-size finite sets position by position in increasing order."""
-    xs, ys = sorted(set(X)), sorted(set(Y))
+    xs, ys = _ascending(X), _ascending(Y)
     if len(xs) != len(ys):
         raise ValueError(f"pointwise order needs equal sizes, got {len(xs)} and {len(ys)}")
     return all(x <= y for x, y in zip(xs, ys))

@@ -166,6 +166,22 @@ def brute_embeddings(source, target, limits):
     return out
 
 
+def brute_indec_pins(fixed):
+    """Element pins reduced to indecomposable pins by building every summand
+    of both sides as a term: the i-th summand of x goes to the i-th summand
+    of y.  None when a pair's summand counts differ or a summand is sent to
+    two places."""
+    pins = {}
+    for x, y in fixed.items():
+        xs, ys = summands(x), summands(y)
+        if len(xs) != len(ys):
+            return None
+        for sx, sy in zip(xs, ys):
+            if pins.setdefault(sx, sy) != sy:
+                return None
+    return pins
+
+
 def shape_signature(elements):
     """Arithmetic shape of an ascending element tuple: each element as the
     tuple of positions of its summands among the tuple's own indecomposables.

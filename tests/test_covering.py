@@ -1,6 +1,8 @@
 import itertools
+from bisect import bisect_left
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from patternforge import (
     Budget,
@@ -19,9 +21,10 @@ from patternforge import (
     search_coverings,
     trivial_pattern,
 )
+from patternforge.cores import closed_subsets
 from patternforge.covering import test_cofinal_validity as cofinal_validity
-from conftest import built
-from oracles import covering_maps_bruteforce, covering_maps_by_shape, shape_buckets
+from conftest import built, valid_hierarchies
+from oracles import brute_complete, brute_validate, covering_maps_bruteforce, covering_maps_by_shape, shape_buckets
 
 
 def t(s):
@@ -148,6 +151,46 @@ def test_search_matches_bruteforce(name):
             assert got == want, (name, [str(x) for x in uni], rel)
 
 
+def strict_pairs_within(H, k, universe):
+    return [(a, b) for a, b in H.strict(k) if a in universe and b in universe]
+
+
+@st.composite
+def forged_pattern(draw, H, universes):
+    """A pattern on a closed subset of H's carrier drawn from universes, with
+    strict pairs of its own: the least valid relations holding a few
+    ascending pairs, drawn from H's strict pairs there (so that the pattern
+    is often covered) or, now and then, from all of them."""
+    universe = closure(draw(universes))
+    ascending = [(a, b) for a in universe for b in universe if a < b]
+    inside1 = strict_pairs_within(H, 1, universe)
+    if inside1 and draw(st.integers(0, 3)):
+        pool1, pool2 = inside1, strict_pairs_within(H, 2, universe)
+    else:
+        pool1 = pool2 = ascending
+    seed1 = draw(st.sets(st.sampled_from(pool1), min_size=1, max_size=3))
+    seed2 = draw(st.sets(st.sampled_from(pool2), max_size=1)) if pool2 else set()
+    le1, le2 = brute_complete(universe.elements, seed1, seed2)
+    assert brute_validate(universe.elements, le1, le2)
+    return Pattern(universe, le1, le2)
+
+
+@settings(max_examples=80, deadline=None)
+@given(H=valid_hierarchies(), data=st.data())
+def test_search_matches_bruteforce_on_forged_hosts(H, data):
+    # hosts with at least two strict le1 pairs: a restriction of the host
+    # carries the host's pairs, a forged pattern pairs of its own, and a
+    # covering must carry either into the host; most closed subsets hold no
+    # strict pair, so those that do are drawn half the time
+    subsets = [s for s in closed_subsets(H.carrier, max_elements=6) if len(s) > 1]
+    paired = [s for s in subsets if strict_pairs_within(H, 1, s)]
+    universes = st.sampled_from(paired or subsets) | st.sampled_from(subsets)
+    for P in (H.restrict_pattern(data.draw(universes)), data.draw(forged_pattern(H, universes))):
+        got = [cov.assignment for cov in search_coverings(P, H)]
+        assert sorted(got) == covering_maps_bruteforce(P, H)
+        assert len(set(got)) == len(got)
+
+
 def test_shape_bucket_oracle_agrees(hierarchy_big):
     H = hierarchy_big
     for gens in ([ONE], [ONE, OMEGA], [t("w+1")], [t("w+w")]):
@@ -175,6 +218,21 @@ def test_maximal_regressive_map(hierarchy_big):
     h = covering_of(trivial_pattern([ONE, OMEGA]), hierarchy_big)
     phi = RegressiveMap.maximal(h)
     assert phi.as_dict() == {ONE: ZERO, OMEGA: ONE}
+
+
+@pytest.mark.parametrize("name", ["big", "ladder", "wide20"])
+def test_maximal_bounds_by_rank_match_bisection(name):
+    # every covering into the host of each of its closed substructures with
+    # at most two indecomposables
+    H = built(name)
+    carrier = H.carrier.elements
+    checked = 0
+    for subset in closed_subsets(H.carrier, max_indecomposables=2):
+        for h in search_coverings(H.restrict_pattern(subset), H):
+            want = {xi: carrier[bisect_left(carrier, xi) - 1] for xi in h.range_indecomposables()}
+            assert RegressiveMap.maximal(h).as_dict() == want
+            checked += 1
+    assert checked > len(carrier)
 
 
 def test_regressive_enumeration_maximal_first(hierarchy_big):
@@ -349,9 +407,6 @@ def test_requires_substructure(hierarchy_big):
 
 
 # -- randomized searcher properties ---------------------------------------------
-
-
-from hypothesis import given, settings, strategies as st
 
 
 @st.composite

@@ -4,11 +4,13 @@ memo against answers computed on fresh objects."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patternforge import ClosedSet, Hierarchy, closure, is_indecomposable, parse_term
-from patternforge.embedding import SearchLimits, SourceSpec, TargetSpec, search_embeddings
+from patternforge import ClosedSet, Hierarchy, closure, is_indecomposable, parse_term, search_coverings
+from patternforge import embedding
+from patternforge.cores import closed_subsets
+from patternforge.embedding import SearchLimits, SourceSpec, TargetSpec, derive_indec_pins, search_embeddings
 from patternforge.hierarchy import game_pass
-from conftest import forged_relations, make_carrier
-from oracles import brute_embeddings, game_all_challenges
+from conftest import FORGE_POOL, built, forged_relations, make_carrier
+from oracles import brute_embeddings, brute_indec_pins, game_all_challenges
 
 OUTSIDE = parse_term("w^(w^(w))")  # indecomposable, in no forged universe
 
@@ -105,6 +107,84 @@ def test_relation_rows_are_never_stale():
         carrier = carriers["big"]
         got = [game_pass(k, a, b, carrier, mutable1, mutable2) for k, a, b in games(carrier)]
         assert got == expected["big", rname], f"mutable {rname}"
+
+    # a pattern source: one universe object whose relation objects of its
+    # own differ in le1 or in le2 only, searched into both odd targets
+    # alternately, then as mutable relations changed between calls
+    universe = closure([parse_term("1"), parse_term("w")])
+    u = universe.elements
+    sfull = frozenset((a, b) for a in u for b in u if a <= b)
+    srefl = frozenset((x, x) for x in u)
+    sources = {"full": (sfull, sfull), "le2 refl": (sfull, srefl), "le1 refl": (srefl, sfull)}
+    targets = ("le2 odd", "le1 odd")
+
+    def fresh_answers(s1, s2):
+        out = []
+        for tname in targets:
+            t1, t2 = relations[tname]
+            fresh = TargetSpec(ClosedSet(elems), frozenset(t1), frozenset(t2))
+            out.append(brute_embeddings(SourceSpec(ClosedSet(u), frozenset(s1), frozenset(s2)), fresh, SearchLimits()))
+        return out
+
+    expected = {sname: fresh_answers(*rels) for sname, rels in sources.items()}
+    assert len({repr(v) for v in expected.values()}) == len(sources)
+
+    def answers(s1, s2, elements=universe):
+        source = SourceSpec(elements, s1, s2)
+        return [list(search_embeddings(source, TargetSpec(carriers["big"], *relations[t]))) for t in targets]
+
+    for sname in ["full", "le2 refl", "full", "le1 refl", "le2 refl", "full"]:
+        assert answers(*sources[sname]) == expected[sname], sname
+        assert answers(*sources[sname], elements=u) == expected[sname], f"tuple {sname}"
+    for sname in ["full", "le2 refl", "le1 refl", "full"]:
+        for target, new in zip((mutable1, mutable2), sources[sname]):
+            target.clear()
+            target.update(new)
+        assert answers(mutable1, mutable2) == expected[sname], f"mutable {sname}"
+
+
+PIN_TERMS = closure(parse_term(g) for g in FORGE_POOL).elements
+
+
+@st.composite
+def element_pins(draw):
+    """A map between terms of the FORGE_POOL closure: each image has the
+    key's summand count or, now and then, any count, and summands shared by
+    several keys make conflicting pins likely."""
+    keys = draw(st.lists(st.sampled_from(PIN_TERMS), max_size=5, unique=True))
+    fixed = {}
+    for x in keys:
+        alike = [y for y in PIN_TERMS if len(y.exponents) == len(x.exponents)]
+        fixed[x] = draw(st.sampled_from(alike if draw(st.integers(0, 4)) else PIN_TERMS))
+    return fixed
+
+
+@settings(max_examples=400, deadline=None)
+@given(fixed=element_pins())
+def test_indec_pins_match_summand_terms(fixed):
+    got, want = derive_indec_pins(fixed), brute_indec_pins(fixed)
+    assert got == want
+    if want is not None:
+        assert list(got.items()) == list(want.items())
+
+
+def test_host_rows_survive_a_stream_of_patterns(monkeypatch):
+    # more distinct patterns than the memo has entries, each covered twice:
+    # the host's rows are built once, each pattern's once
+    H = built("wide20")
+    patterns = [H.restrict_pattern(s) for s in closed_subsets(H.carrier, max_indecomposables=2)[:12]]
+    assert len(patterns) > embedding._ROWS_MEMO_SIZE
+    built_for = []
+    rows = embedding._rows
+    monkeypatch.setattr(embedding, "_rows_memo", {})
+    monkeypatch.setattr(
+        embedding, "_rows", lambda rank, size, le1, le2: built_for.append(le1) or rows(rank, size, le1, le2)
+    )
+    for P in patterns:
+        for _ in range(2):
+            assert list(search_coverings(P, H))  # every restriction covers itself
+    assert sum(le1 is H.le1 for le1 in built_for) == 1
+    assert [le1 for le1 in built_for if le1 is not H.le1] == [P.le1 for P in patterns]
 
 
 def test_relation_rows_follow_the_carrier():

@@ -411,6 +411,27 @@ def test_cli_readers_accept_invalid_hierarchy(invalid_host):
     assert run_cli(["export-dot", "bad.hier"], invalid_host).returncode == 0
 
 
+def test_cli_main_in_process_repeats(workdir, capsys, monkeypatch):
+    # the parser is built once per process; each call still parses its own
+    # argv onto its own defaults and calls the handler bound now
+    from patternforge import cli
+
+    hier = str(workdir / "big.hier")
+    assert cli.build_parser() is cli.build_parser()
+    with pytest.raises(SystemExit) as rejected:
+        cli.main(["axioms", hier, "--format", "xml", "--window", "3"])
+    assert rejected.value.code == 2
+    capsys.readouterr()
+    assert cli.main(["axioms", hier, "--format", "json"]) == 0
+    assert json.loads(capsys.readouterr().out)["order"] == []
+    assert cli.main(["axioms", hier]) == 0
+    plain = capsys.readouterr().out
+    assert "order: ok" in plain and not plain.lstrip().startswith("{")
+    assert plain == run_cli(["axioms", "big.hier"], workdir).stdout
+    monkeypatch.setattr(cli, "cmd_axioms", lambda args: 7)
+    assert cli.main(["axioms", hier]) == 7
+
+
 def test_cli_build_deterministic(workdir):
     r1 = run_cli(
         ["build", "--carrier", "big.carrier", "--top", "w^(3)", "--out", "h1.hier"],

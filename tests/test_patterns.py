@@ -250,8 +250,29 @@ def test_pointwise_examples():
     # unsorted input is compared in increasing order
     assert pointwise_le([OMEGA, ONE], [t("w^(2)"), ONE])
     assert not pointwise_le([OMEGA, ONE], [t("w^(2)"), ZERO])
+    # so are unsorted tuples, and repeats count once
+    assert pointwise_le((OMEGA, ONE), (t("w^(2)"), ONE))
+    assert not pointwise_le((OMEGA, ONE), (ONE, ZERO))
+    assert pointwise_le((ONE, ONE, OMEGA), (ONE, t("w^(2)")))
+    assert pointwise_le([ONE, OMEGA, ONE], (OMEGA, OMEGA, t("w^(2)")))
     with pytest.raises(ValueError):
         pointwise_le([ONE], [ONE, OMEGA])
+    with pytest.raises(ValueError):
+        pointwise_le((ONE, ONE), (ONE, OMEGA))
+
+
+def test_pointwise_takes_ascending_tuples_as_they_are(monkeypatch):
+    # covering ranges arrive as strictly ascending tuples: nothing to sort
+    import patternforge.patterns as patterns
+
+    def refuse(xs):
+        raise AssertionError(f"sorted {xs!r}")
+
+    monkeypatch.setattr(patterns, "sorted", refuse, raising=False)
+    assert pointwise_le((ZERO, ONE, OMEGA), (ZERO, OMEGA, t("w^(2)")))
+    assert not pointwise_le((ZERO, OMEGA), (ZERO, ONE))
+    with pytest.raises(AssertionError):
+        pointwise_le((ONE, ZERO), (ZERO, ONE))
 
 
 @st.composite
