@@ -3,7 +3,8 @@
 A rule pairs a pattern with an extension of it; it is cofinally valid when
 every covering of the premise extends to the conclusion above every
 regressive bound.  At finite scale the prober reports either
-valid-on-sample or a concrete (covering, bound) counterexample.
+valid-on-sample or a concrete (covering, bound) counterexample; a probe
+that a covering budget stops early reports undecided-within-budget instead.
 
 Run:  python3 demos/06_rules_and_cofinal_validity.py
 """

@@ -1,7 +1,9 @@
 """Batch command-line front end.
 
 Exit codes: 0 success or affirmative result, 1 well-formed negative result,
-2 usage or input error.  Every subcommand is deterministic for fixed inputs.
+2 usage or input error, 3 a rule-test that its covering budget stopped
+before it found a counterexample or ran out of coverings.  Every subcommand
+is deterministic for fixed inputs.
 """
 
 from __future__ import annotations
@@ -20,7 +22,7 @@ from .hierarchy import build_hierarchy, check_hierarchy_axioms
 from .ordinals import format_term, parse_term
 from .patterns import validate_structure
 
-OK, NEGATIVE, USAGE = 0, 1, 2
+OK, NEGATIVE, USAGE, UNDECIDED = 0, 1, 2, 3
 
 
 class CliError(Exception):
@@ -218,6 +220,8 @@ def cmd_rule_test(args) -> int:
     budget = Budget(max_coverings=args.max_coverings)
     verdict = test_cofinal_validity(rule.premise, rule.conclusion, H, budget)
     print(pfio.dumps_verdict(verdict), end="")
+    if not verdict.exhaustive:
+        return UNDECIDED
     return OK if verdict.valid else NEGATIVE
 
 

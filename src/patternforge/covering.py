@@ -15,7 +15,7 @@ import itertools
 from dataclasses import dataclass
 from typing import Dict, Iterator, Mapping, Optional, Tuple
 
-from .embedding import SearchLimits, SourceSpec, derive_indec_pins, search_embeddings
+from .embedding import SearchLimits, SourceSpec, search_embeddings
 from .hierarchy import Hierarchy
 from .ordinals import (
     ClosedSet,
@@ -168,21 +168,22 @@ def search_coverings(
     """Enumerate all coverings of P in H, in lexicographic order of the
     indecomposable images.
 
-    fixed pins element images (a fixed prefix); lower_bounds forces chosen
-    indecomposable images strictly above the given terms.  Unsatisfiable
-    constraints produce an empty stream.
+    fixed pins element images (a fixed prefix), each a key of P's universe;
+    the search splits each pin into pins of the element's summands.
+    lower_bounds forces chosen indecomposable images strictly above the
+    given terms.  Unsatisfiable constraints produce an empty stream.
 
     The search reads P's universe through its own rank index and the bitset
     rows of P's relations from the embedding memo, shared with H's rows, so
     covering one pattern again, as a rule probe does for each covering of
     its premise, builds neither again.
     """
-    pins = derive_indec_pins(dict(fixed)) if fixed else {}
-    if pins is None:
-        return
+    fixed = fixed or {}
+    if not P.universe.as_set().issuperset(fixed):
+        raise ValueError("a fixed element is not in the pattern's universe")
     floors = dict(lower_bounds) if lower_bounds else {}
     source = SourceSpec(elements=P.universe, le1=P.le1, le2=P.le2)
-    limits = SearchLimits(pinned=pins, indec_floors=floors)
+    limits = SearchLimits(pinned=fixed, indec_floors=floors)
     for assignment in search_embeddings(source, H.target_spec(), limits):
         yield Covering.from_map(P, H, assignment)
 
@@ -245,7 +246,7 @@ class Budget:
     """Enumeration caps for cofinal-validity testing; None means exhaustive.
 
     A cap must allow at least one covering: a probe that checks none has
-    sampled nothing, yet would read as a valid verdict.
+    sampled nothing.
     """
 
     max_coverings: Optional[int] = None
@@ -257,9 +258,17 @@ class Budget:
 
 @dataclass(frozen=True)
 class CofinalVerdict:
+    """The outcome of a rule probe.
+
+    exhaustive is false only when the budget stopped the probe while one
+    more covering was left to check; such a verdict has no counterexample
+    and is not valid either: the rule is undecided within the budget.
+    """
+
     valid: bool
     coverings_checked: int
     counterexample: Optional[Tuple[Covering, RegressiveMap]] = None
+    exhaustive: bool = True
 
     def __bool__(self):
         return self.valid
@@ -275,11 +284,15 @@ def test_cofinal_validity(
     yields, is tried per covering: an extension above it is above every
     other map, and a covering with no extension above it is a
     counterexample.  The first such (covering, bound) pair is returned.
+    When the budget's cap is reached and another covering exists, the
+    verdict is neither valid nor exhaustive.
     """
     if not is_closed_substructure(P, Pplus):
         raise ValueError("P must be a closed substructure of Pplus")
     checked = 0
-    for h in itertools.islice(search_coverings(P, H), budget.max_coverings):
+    for h in search_coverings(P, H):
+        if checked == budget.max_coverings:
+            return CofinalVerdict(False, checked, None, exhaustive=False)
         checked += 1
         phi = next(regressive_maps(h))
         if extend_covering(P, Pplus, h, phi) is None:

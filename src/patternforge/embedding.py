@@ -14,11 +14,14 @@ tuple, which makes every consumer deterministic.
 The search runs on the carrier index (ordinals.CarrierIndex): an image is a
 carrier rank, a composite image is found by the ranks of its summands (a
 missing tuple is an image outside the carrier), and the ceiling and floors
-become rank bounds found once per search.  Each relation is held as bitset
-rows, one Python int per rank for the pairs leaving it and one for the pairs
-entering it, so preservation is a bit test per related pair; the pairs with
-elements already sent to their own rank (the pinned part of a game's
-challenge) take one mask test per row.
+become rank bounds found once per search.  An element pin x -> y is split
+on ranks too: the i-th summand of x is pinned to the i-th summand of y, so
+a pin whose image lies outside the carrier, has another summand count, or
+sends one summand to two places admits nothing.  Each relation is held as
+bitset rows, one Python int per rank for the pairs leaving it and one for
+the pairs entering it, so preservation is a bit test per related pair; the
+pairs with elements already sent to their own rank (the pinned part of a
+game's challenge) take one mask test per row.
 
 A source that uses the target's own relation objects and lies inside its
 carrier (every game the hierarchy plays) is searched on the target's ranks
@@ -43,7 +46,7 @@ from bisect import bisect_left
 from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
 
-from .ordinals import ClosedSet, OrdinalTerm, ZERO, is_indecomposable, omega_power
+from .ordinals import ClosedSet, OrdinalTerm, ZERO
 
 Pair = Tuple[OrdinalTerm, OrdinalTerm]
 Assignment = Dict[OrdinalTerm, OrdinalTerm]
@@ -73,7 +76,8 @@ class TargetSpec:
 class SearchLimits:
     """Optional constraints on the embedding being searched.
 
-    pinned          source indecomposable -> required image
+    pinned          source element -> required image; pins on elements
+                    outside the source are ignored
     ceiling         every image must be strictly below this term
     indec_floors    source indecomposable -> image must be strictly above
     moved_floor     images of elements not pinned to themselves must be
@@ -84,28 +88,6 @@ class SearchLimits:
     ceiling: Optional[OrdinalTerm] = None
     indec_floors: Mapping[OrdinalTerm, OrdinalTerm] = field(default_factory=dict)
     moved_floor: Optional[OrdinalTerm] = None
-
-
-def derive_indec_pins(
-    fixed: Mapping[OrdinalTerm, OrdinalTerm],
-) -> Optional[Dict[OrdinalTerm, OrdinalTerm]]:
-    """Reduce element-level constraints to indecomposable-level pins.
-
-    An element pin x -> y forces the i-th summand of x onto the i-th summand
-    of y.  Returns None when the pins are structurally unsatisfiable: x and y
-    have different summand counts, or two pins send one summand to two
-    places.  A summand w^g is named by its exponent g, so the pins are
-    checked on exponents and each distinct summand pin is built as terms
-    once, in the order its first pin was met.
-    """
-    exponents: Dict[OrdinalTerm, OrdinalTerm] = {}
-    for x, y in fixed.items():
-        if len(x.exponents) != len(y.exponents):
-            return None
-        for gx, gy in zip(x.exponents, y.exponents):
-            if exponents.setdefault(gx, gy) != gy:
-                return None
-    return {omega_power(gx): omega_power(gy) for gx, gy in exponents.items()}
 
 
 _ROWS_MEMO_SIZE = 8
@@ -148,10 +130,6 @@ def search_embeddings(
 ) -> Iterator[Assignment]:
     """Yield every admissible embedding of source into target, smallest
     indecomposable images first."""
-    pinned = limits.pinned
-    for i, img in pinned.items():
-        if not (is_indecomposable(i) and is_indecomposable(img)):
-            return
     carrier = target.carrier
     index = carrier.index
     tgt_elems = carrier.elements
@@ -183,13 +161,18 @@ def search_embeddings(
         if sums[y]:
             groups[sums[y][0]].append(y)  # ascending, the indecomposable first
 
+    # each pinned element's summands are pinned to its image's, in order
     pins: Dict[int, int] = {}
-    for i, img in pinned.items():
-        if i in id_of:
-            rank = index.rank.get(img)
-            if rank is None:
-                return  # the pinned image is outside the carrier
-            pins[id_of[i]] = rank
+    for x, img in limits.pinned.items():
+        y = id_of.get(x)
+        if y is None:
+            continue
+        rank = index.rank.get(img)
+        if rank is None or len(sums[y]) != len(index.summands[rank]):
+            return
+        for s, t in zip(sums[y], index.summands[rank]):
+            if pins.setdefault(s, t) != t:
+                return
     floors = {id_of[i]: index.at_most(f) for i, f in limits.indec_floors.items() if i in id_of}
     ceiling = len(tgt_elems) if limits.ceiling is None else index.below(limits.ceiling)
     moved_floor = 0
@@ -197,7 +180,7 @@ def search_embeddings(
     if limits.moved_floor is not None:
         # an element is fixed iff each of its summands is pinned to itself
         moved_floor = index.at_most(limits.moved_floor)
-        selfpinned = {id_of[i] for i, img in pinned.items() if i == img and i in id_of}
+        selfpinned = {s for s, t in pins.items() if keys[s] == tgt_elems[t]}
         fixed = frozenset(y for y in ids if selfpinned.issuperset(sums[y]))
     tgt_indecs = index.indecomposables
     checks = tuple(zip(src_rows, tgt_rows))

@@ -236,6 +236,11 @@ def verdict_doc(verdict: CofinalVerdict) -> Dict:
             "verdict": "valid-on-sample",
             "coverings_checked": verdict.coverings_checked,
         }
+    if not verdict.exhaustive:
+        return {
+            "verdict": "undecided-within-budget",
+            "coverings_checked": verdict.coverings_checked,
+        }
     h, phi = verdict.counterexample
     return {
         "verdict": "counterexample",

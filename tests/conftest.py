@@ -139,6 +139,21 @@ def forged_relations(draw, max_elements=7):
     return universe, rels[0], rels[1]
 
 
+OUTSIDE = parse_term("w^(w^(w))")  # indecomposable, in no forged universe
+
+
+@st.composite
+def element_pins(draw, keys, images):
+    """A map from some keys to images: each image has the key's summand count
+    or, now and then, any count, and summands shared by several keys make
+    conflicting pins likely."""
+    fixed = {}
+    for x in draw(st.lists(st.sampled_from(keys), max_size=5, unique=True)):
+        alike = [y for y in images if len(y.exponents) == len(x.exponents)]
+        fixed[x] = draw(st.sampled_from(alike if alike and draw(st.integers(0, 4)) else images))
+    return fixed
+
+
 @st.composite
 def valid_hierarchies(draw, max_elements=8):
     """A forged Hierarchy on a closed carrier of at most max_elements terms

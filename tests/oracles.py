@@ -11,14 +11,17 @@ from itertools import combinations, permutations, product
 
 from patternforge import (
     ClosedSet,
+    Covering,
     Hierarchy,
     OrdinalTerm,
     Pattern,
     ZERO,
     add,
+    extends_above,
     is_covering,
     is_indecomposable,
     isominimal,
+    regressive_maps,
 )
 from patternforge.hierarchy import game_pass
 from patternforge.ordinals import parts_closure, split_parts, summands
@@ -118,6 +121,28 @@ def covering_maps_bruteforce(P: Pattern, H: Hierarchy):
     return sorted(out)
 
 
+def brute_cofinal_validity(P: Pattern, Pplus: Pattern, H: Hierarchy, max_coverings=None):
+    """The rule probe by its definition, as (valid, exhaustive,
+    coverings_checked, counterexample covering or None).
+
+    The coverings of P are taken in covering_maps_bruteforce's order, at
+    most max_coverings of them; the probe is cut, neither valid nor
+    exhaustive, when one more is left.  A covering h is a counterexample when
+    some regressive map of regressive_maps(h), any of them, has no covering
+    of Pplus that agrees with h on P's universe and extends above it.
+    """
+    coverings = covering_maps_bruteforce(P, H)
+    extensions = covering_maps_bruteforce(Pplus, H)
+    for checked, cov in enumerate(coverings):
+        if checked == max_coverings:
+            return False, False, checked, None
+        h = Covering(P, H, cov)
+        agreeing = [Covering(Pplus, H, e) for e in extensions if set(cov) <= set(e)]
+        if any(not any(extends_above(hplus, h, phi) for hplus in agreeing) for phi in regressive_maps(h)):
+            return False, True, checked + 1, h
+    return True, True, len(coverings), None
+
+
 def brute_embeddings(source, target, limits):
     """Every embedding of a SourceSpec into a TargetSpec under SearchLimits, in
     lexicographic order of the indecomposable images, by trying each strictly
@@ -125,31 +150,32 @@ def brute_embeddings(source, target, limits):
 
     Each element's image replaces every summand w^g by the image of w^g.  A
     choice is kept when every image lies in the carrier and below the
-    ceiling, pinned indecomposables go to their pins and floored ones above
-    their floors, every element with a summand not pinned to itself goes
-    above the moved floor, and every pair of distinct source elements in
-    source le1 (le2) goes to a pair in target le1 (le2).  A pin that is not
-    indecomposable on both sides admits nothing.
+    ceiling, each pinned source element goes to its pin, floored
+    indecomposables go above their floors, every element with a summand not
+    pinned to itself goes above the moved floor, and every pair of distinct
+    source elements in source le1 (le2) goes to a pair in target le1 (le2).
+    A summand is pinned to itself when a pinned element has it where the
+    pin's own summands, read in the same order, have it too.
     """
-    pinned, floors = dict(limits.pinned), dict(limits.indec_floors)
-    ceiling, moved_floor = limits.ceiling, limits.moved_floor
-    if not all(is_indecomposable(a) and is_indecomposable(b) for a, b in pinned.items()):
-        return []
     elems = list(source.elements)
+    pinned = {x: y for x, y in limits.pinned.items() if x in elems}
+    floors = dict(limits.indec_floors)
+    ceiling, moved_floor = limits.ceiling, limits.moved_floor
+    selfpinned = {a for x, y in pinned.items() for a, b in zip(summands(x), summands(y)) if a == b}
     indecs = [x for x in elems if is_indecomposable(x)]
     carrier = set(target.carrier)
-    moved = [x for x in elems if any(pinned.get(OrdinalTerm((g,))) != OrdinalTerm((g,)) for g in x.exponents)]
+    moved = [x for x in elems if not selfpinned.issuperset(summands(x))]
     out = []
     for choice in combinations(sorted(x for x in carrier if is_indecomposable(x)), len(indecs)):
         f = dict(zip(indecs, choice))
-        if any(i in pinned and f[i] != pinned[i] for i in indecs):
-            continue
         if any(i in floors and not f[i] > floors[i] for i in indecs):
             continue
         image = {
             x: OrdinalTerm(tuple(f[OrdinalTerm((g,))].exponents[0] for g in x.exponents))
             for x in elems
         }
+        if any(image[x] != y for x, y in pinned.items()):
+            continue
         if any(y not in carrier for y in image.values()):
             continue
         if ceiling is not None and any(not y < ceiling for y in image.values()):
@@ -164,22 +190,6 @@ def brute_embeddings(source, target, limits):
             continue
         out.append(image)
     return out
-
-
-def brute_indec_pins(fixed):
-    """Element pins reduced to indecomposable pins by building every summand
-    of both sides as a term: the i-th summand of x goes to the i-th summand
-    of y.  None when a pair's summand counts differ or a summand is sent to
-    two places."""
-    pins = {}
-    for x, y in fixed.items():
-        xs, ys = summands(x), summands(y)
-        if len(xs) != len(ys):
-            return None
-        for sx, sy in zip(xs, ys):
-            if pins.setdefault(sx, sy) != sy:
-                return None
-    return pins
 
 
 def shape_signature(elements):

@@ -23,8 +23,15 @@ from patternforge import (
 )
 from patternforge.cores import closed_subsets
 from patternforge.covering import test_cofinal_validity as cofinal_validity
-from conftest import built, valid_hierarchies
-from oracles import brute_complete, brute_validate, covering_maps_bruteforce, covering_maps_by_shape, shape_buckets
+from conftest import FORGE_CARRIERS, OUTSIDE, built, element_pins, valid_hierarchies
+from oracles import (
+    brute_cofinal_validity,
+    brute_complete,
+    brute_validate,
+    covering_maps_bruteforce,
+    covering_maps_by_shape,
+    shape_buckets,
+)
 
 
 def t(s):
@@ -189,6 +196,47 @@ def test_search_matches_bruteforce_on_forged_hosts(H, data):
         got = [cov.assignment for cov in search_coverings(P, H)]
         assert sorted(got) == covering_maps_bruteforce(P, H)
         assert len(set(got)) == len(got)
+
+
+@settings(max_examples=80, deadline=None)
+@given(H=valid_hierarchies(), data=st.data())
+def test_fixed_search_matches_filtered_bruteforce(H, data):
+    # element pins, decomposable or not, that some covering agrees with, that
+    # have another summand count, that lie outside the carrier, or that send
+    # one summand to two places
+    subsets = [s for s in closed_subsets(H.carrier, max_elements=6) if len(s) > 1]
+    universe = data.draw(st.sampled_from(subsets))
+    P = H.restrict_pattern(universe) if data.draw(st.booleans()) else data.draw(forged_pattern(H, st.just(universe)))
+    want = covering_maps_bruteforce(P, H)
+    fixed = data.draw(element_pins(P.universe.elements, H.carrier.elements + (OUTSIDE,)))
+    if want and data.draw(st.booleans()):
+        fixed.update(data.draw(st.sets(st.sampled_from(data.draw(st.sampled_from(want))), max_size=3)))
+    got = assignments(P, H, fixed=fixed)
+    assert sorted(got) == [cov for cov in want if all(dict(cov)[x] == y for x, y in fixed.items())]
+
+
+def test_search_splits_element_pins(hierarchy_big):
+    # a pin fixes each summand of its element on the summand of its image in
+    # the same place; a pin with another summand count, one outside the
+    # carrier, or two pins sending w to two places admit nothing
+    P = trivial_pattern([ONE, t("w+w")])
+    assert assignments(P, hierarchy_big, fixed={t("w+w"): t("w+w")}) == [
+        ((ZERO, ZERO), (ONE, ONE), (OMEGA, OMEGA), (t("w+w"), t("w+w")))
+    ]
+    for fixed in (
+        {t("w+w"): t("w^(2)")},
+        {ONE: ZERO},
+        {ONE: OUTSIDE},
+        {OMEGA: t("w^(2)"), t("w+w"): t("w+w")},
+    ):
+        assert assignments(P, hierarchy_big, fixed=fixed) == [], fixed
+
+
+def test_search_rejects_fixed_outside_universe(hierarchy_big):
+    # w+1 is not in P: its summand 1 must not be pinned behind P's back
+    P = trivial_pattern([ONE])
+    with pytest.raises(ValueError, match="not in the pattern's universe"):
+        assignments(P, hierarchy_big, fixed={t("w+1"): t("w+w")})
 
 
 def test_shape_bucket_oracle_agrees(hierarchy_big):
@@ -368,20 +416,27 @@ def test_impossible_conclusion_counterexample(hierarchy_big):
 
 
 def test_budget_caps_coverings(hierarchy_big):
+    # the counterexample is the third covering: a cap below it leaves the
+    # rule undecided, never valid, and a cap at or above it finds it
     P = trivial_pattern([ONE])
-    Pplus = Pattern(
-        closure([ONE, t("w+w")]),
-        le1=[(ONE, OMEGA), (ONE, t("w+w"))],
-        le2=[(ONE, t("w+w"))],
-    )
+    Pplus = trivial_pattern([ONE, t("w^(w^(w))")])
     unbudgeted = cofinal_validity(P, Pplus, hierarchy_big)
-    assert not unbudgeted.valid
-    # a budget that checks no covering would read as a valid verdict
+    assert (unbudgeted.valid, unbudgeted.exhaustive, unbudgeted.coverings_checked) == (False, True, 3)
+    for cap in (1, 2):
+        capped = cofinal_validity(P, Pplus, hierarchy_big, Budget(max_coverings=cap))
+        assert not capped
+        assert (capped.valid, capped.exhaustive, capped.coverings_checked) == (False, False, cap)
+        assert capped.counterexample is None
+    for cap in (3, 4):
+        assert cofinal_validity(P, Pplus, hierarchy_big, Budget(max_coverings=cap)) == unbudgeted
+    # a cap that the covering stream does not reach leaves a valid verdict
+    # exhaustive
+    ident = cofinal_validity(P, P, hierarchy_big, Budget(max_coverings=3))
+    assert (ident.valid, ident.exhaustive, ident.coverings_checked) == (True, True, 3)
+    # a budget that checks no covering samples nothing
     for cap in (0, -1):
         with pytest.raises(ValueError, match="at least 1"):
             Budget(max_coverings=cap)
-    capped = cofinal_validity(P, Pplus, hierarchy_big, Budget(max_coverings=1))
-    assert capped.coverings_checked == 1
 
 
 def test_maximal_bound_counterexample_has_no_budget_escape(hierarchy_big):
@@ -432,3 +487,23 @@ def test_search_random_soundness_and_order(case):
     assert len(seen) == len(set(seen))
     got = sorted(cov.assignment for cov in search_coverings(P, H))
     assert got == covering_maps_bruteforce(P, H)
+
+
+@settings(max_examples=60, deadline=None)
+@given(H=valid_hierarchies(), data=st.data())
+def test_cofinal_validity_matches_brute_oracle(H, data):
+    # conclusions on closed sets inside the host's carrier or reaching past
+    # it, trivial or with strict pairs; premises are their restrictions to
+    # closed subsets; every cap that can cut the probe short
+    inside = [s for s in closed_subsets(H.carrier, max_elements=5) if len(s) > 1]
+    beyond = [c.elements for c in FORGE_CARRIERS if 1 < len(c) <= 5]
+    universe = data.draw(st.sampled_from(inside) | st.sampled_from(beyond))
+    if data.draw(st.booleans()):
+        Pplus = trivial_pattern(universe)
+    else:
+        Pplus = data.draw(forged_pattern(H, st.just(universe)))
+    P = Pplus.restrict(data.draw(st.sampled_from(closed_subsets(Pplus.universe))))
+    for cap in (None, 1, 2):
+        got = cofinal_validity(P, Pplus, H, Budget(max_coverings=cap))
+        h = got.counterexample[0] if got.counterexample else None
+        assert (got.valid, got.exhaustive, got.coverings_checked, h) == brute_cofinal_validity(P, Pplus, H, cap), cap

@@ -4,32 +4,33 @@ memo against answers computed on fresh objects."""
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from patternforge import ClosedSet, Hierarchy, closure, is_indecomposable, parse_term, search_coverings
+from patternforge import ZERO, ClosedSet, Hierarchy, closure, is_indecomposable, parse_term, search_coverings
 from patternforge import embedding
 from patternforge.cores import closed_subsets
-from patternforge.embedding import SearchLimits, SourceSpec, TargetSpec, derive_indec_pins, search_embeddings
+from patternforge.embedding import SearchLimits, SourceSpec, TargetSpec, search_embeddings
 from patternforge.hierarchy import game_pass
-from conftest import FORGE_POOL, built, forged_relations, make_carrier
-from oracles import brute_embeddings, brute_indec_pins, game_all_challenges
-
-OUTSIDE = parse_term("w^(w^(w))")  # indecomposable, in no forged universe
+from conftest import OUTSIDE, built, element_pins, forged_relations, make_carrier
+from oracles import brute_embeddings, game_all_challenges
 
 
-def draw_limits(data, source_elems, carrier_elems):
-    """Pins, floors, a ceiling and a moved floor over the given elements; the
-    pins may name a term outside the carrier or fix the part below the
-    ceiling the way the games do."""
+def draw_limits(data, source, target):
+    """Pins, floors, a ceiling and a moved floor for a search of source in
+    target.  Element pins, decomposable or not, may name a key outside the
+    source or an image outside the carrier, conflict with each other, agree
+    with an embedding that exists, or fix the part below the ceiling the way
+    the games do."""
+    source_elems, carrier_elems = list(source.elements), list(target.carrier.elements)
     s_indecs = [x for x in source_elems if is_indecomposable(x)]
-    t_indecs = [x for x in carrier_elems if is_indecomposable(x)] + [OUTSIDE]
-    terms = st.sampled_from(list(carrier_elems) + [OUTSIDE])
-    pinned, floors = {}, {}
-    if s_indecs:
-        keys = st.sampled_from(s_indecs)
-        pinned = data.draw(st.dictionaries(keys, st.sampled_from(t_indecs), max_size=2))
-        floors = data.draw(st.dictionaries(keys, terms, max_size=2))
+    terms = st.sampled_from(carrier_elems + [OUTSIDE])
+    pinned = data.draw(element_pins(source_elems + carrier_elems, carrier_elems + [OUTSIDE]))
+    found = brute_embeddings(source, target, SearchLimits())
+    if found and data.draw(st.booleans()):
+        agreed = data.draw(st.sampled_from(found))
+        pinned.update(data.draw(st.sets(st.sampled_from(sorted(agreed.items())), max_size=3)))
+    floors = data.draw(st.dictionaries(st.sampled_from(s_indecs), terms, max_size=2)) if s_indecs else {}
     ceiling = data.draw(st.none() | terms)
-    if ceiling is not None and data.draw(st.booleans()):
-        pinned.update((x, x) for x in s_indecs if x < ceiling)
+    if data.draw(st.booleans()):
+        pinned.update((x, x) for x in s_indecs if x in carrier_elems and (ceiling is None or x < ceiling))
     moved_floor = data.draw(st.none() | terms)
     return SearchLimits(pinned=pinned, ceiling=ceiling, indec_floors=floors, moved_floor=moved_floor)
 
@@ -45,7 +46,7 @@ def test_search_matches_oracle_on_shared_relations(case, data):
     chosen = data.draw(st.lists(st.sampled_from(elems), max_size=4))
     source = SourceSpec(closure(chosen).elements, le1, le2)
     target = TargetSpec(universe, le1, le2)
-    limits = draw_limits(data, source.elements, elems)
+    limits = draw_limits(data, source, target)
     assert list(search_embeddings(source, target, limits)) == brute_embeddings(source, target, limits)
 
 
@@ -62,8 +63,22 @@ def test_search_matches_oracle_on_separate_patterns(host, pattern, data):
     else:
         source = SourceSpec(p_universe.elements, le1, le2)
     target = TargetSpec(universe, le1, le2)
-    limits = draw_limits(data, source.elements, universe.elements)
+    limits = draw_limits(data, source, target)
     assert list(search_embeddings(source, target, limits)) == brute_embeddings(source, target, limits)
+
+
+def test_moved_floor_spares_summands_pinned_in_place():
+    # w is rank 1 of the source and rank 2 of the target: an element is
+    # fixed when its summands are pinned to the same terms, whatever ranks
+    # those terms have on either side
+    w = parse_term("w")
+    universe = closure([w])
+    source = SourceSpec(universe.elements, frozenset((x, x) for x in universe), frozenset())
+    target = TargetSpec(closure([parse_term("1"), w]), frozenset(), frozenset())
+    for pinned, found in (({w: w}, [{ZERO: ZERO, w: w}]), ({}, [])):
+        limits = SearchLimits(pinned=pinned, moved_floor=w)
+        assert list(search_embeddings(source, target, limits)) == found
+        assert brute_embeddings(source, target, limits) == found
 
 
 def test_relation_rows_are_never_stale():
@@ -141,31 +156,6 @@ def test_relation_rows_are_never_stale():
             target.clear()
             target.update(new)
         assert answers(mutable1, mutable2) == expected[sname], f"mutable {sname}"
-
-
-PIN_TERMS = closure(parse_term(g) for g in FORGE_POOL).elements
-
-
-@st.composite
-def element_pins(draw):
-    """A map between terms of the FORGE_POOL closure: each image has the
-    key's summand count or, now and then, any count, and summands shared by
-    several keys make conflicting pins likely."""
-    keys = draw(st.lists(st.sampled_from(PIN_TERMS), max_size=5, unique=True))
-    fixed = {}
-    for x in keys:
-        alike = [y for y in PIN_TERMS if len(y.exponents) == len(x.exponents)]
-        fixed[x] = draw(st.sampled_from(alike if draw(st.integers(0, 4)) else PIN_TERMS))
-    return fixed
-
-
-@settings(max_examples=400, deadline=None)
-@given(fixed=element_pins())
-def test_indec_pins_match_summand_terms(fixed):
-    got, want = derive_indec_pins(fixed), brute_indec_pins(fixed)
-    assert got == want
-    if want is not None:
-        assert list(got.items()) == list(want.items())
 
 
 def test_host_rows_survive_a_stream_of_patterns(monkeypatch):

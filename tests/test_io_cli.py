@@ -585,6 +585,22 @@ def test_cli_rule_test_has_no_regressive_map_budget(workdir):
     assert run_cli(base + ["--max-phis", "0"], workdir).returncode == 2
 
 
+def test_cli_rule_test_capped_is_undecided(workdir):
+    from patternforge import make_generic
+
+    # the counterexample is the third covering of {0, 1} in big
+    rule = make_generic(trivial_pattern([ONE]), trivial_pattern([ONE, t("w^(w^(w))")]))
+    (workdir / "far.rule").write_text(pfio.dumps_rule(rule))
+    base = ["rule-test", "--rule", "far.rule", "--hierarchy", "big.hier"]
+    res = run_cli(base + ["--max-coverings", "1"], workdir)
+    assert res.returncode == 3
+    assert json.loads(res.stdout.partition("\n")[2]) == {
+        "verdict": "undecided-within-budget",
+        "coverings_checked": 1,
+    }
+    assert run_cli(base + ["--max-coverings", "3"], workdir).stdout == run_cli(base, workdir).stdout
+
+
 def test_cli_rule_test_rejects_zero_covering_budget(workdir):
     from patternforge import make_generic
 
