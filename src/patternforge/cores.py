@@ -7,9 +7,11 @@ pointwise-minimal among them (see isominimal); the core is the union of those
 realizations over every pattern with at most a bounded number of
 indecomposables, counted up to isomorphism: each class is keyed by
 patterns.isomorphism_type, one key and one dict lookup per closed subset
-of the host, listed once each by growing over carrier ranks.  Two cores
-compare positionally: member i maps to member i and the witness
-isomorphism types must agree.
+of the host, listed once each by growing over carrier ranks.  A subset's
+key is read from its carrier ranks: the summand ranks of the carrier's index
+and the host's memoized relation rows under the subset's rank mask, so no
+subset scans the host's pairs.  Two cores compare positionally: member i
+maps to member i and the witness isomorphism types must agree.
 """
 
 from __future__ import annotations
@@ -20,8 +22,8 @@ from typing import Dict, List, Optional, Tuple
 from .covering import search_coverings
 from .hierarchy import Hierarchy, indecomposable_endpoints
 from .ordinals import ClosedSet, OrdinalTerm, format_term, is_indecomposable
-from .patterns import Pattern, find_isomorphism, isomorphism_type, pointwise_le, validate_structure
-from .patterns import restrict_relation
+from .patterns import Pattern, find_isomorphism, pointwise_le, validate_structure
+from .patterns import _is_restriction, _memo_rows, _rank_key
 
 
 @dataclass(frozen=True)
@@ -66,9 +68,7 @@ def isominimal(P: Pattern, H: Hierarchy) -> IsominimalReport:
     if not ranges:
         return IsominimalReport(None, False, False, False, 0)
     chosen = ranges[0]
-    induced = chosen == P.universe.elements and all(
-        P.rel(k) == restrict_relation(H.rel(k), P.universe.as_set()) for k in (1, 2)
-    )
+    induced = chosen == P.universe.elements and _is_restriction(P, H.carrier, H.le1, H.le2)
     realization = P if induced else H.restrict_pattern(chosen)
     below_all = all(pointwise_le(chosen, r) for r in ranges)
     return IsominimalReport(
@@ -136,9 +136,11 @@ def compute_core(H: Hierarchy, size_bound: int) -> Core:
         raise ValueError("size_bound must be an integer of at least 1")
     subsets = closed_subsets(H.carrier, max_indecomposables=size_bound)
     subsets.sort(key=lambda s: sum(map(is_indecomposable, s)))  # stable: elements break ties
+    index = H.carrier.index
+    rows = _memo_rows(H.carrier, H.le1, H.le2)
     classes: Dict[tuple, Tuple[OrdinalTerm, ...]] = {}
     for subset in subsets:
-        classes.setdefault(isomorphism_type(subset, H.le1, H.le2), subset)
+        classes.setdefault(_rank_key(index, [index.rank[x] for x in subset], rows), subset)
     witness: Dict[OrdinalTerm, Pattern] = {}
     for subset in classes.values():
         realization = isominimal(H.restrict_pattern(subset), H).realization

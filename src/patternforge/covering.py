@@ -174,9 +174,9 @@ def search_coverings(
     given terms.  Unsatisfiable constraints produce an empty stream.
 
     The search reads P's universe through its own rank index and the bitset
-    rows of P's relations from the embedding memo, shared with H's rows, so
-    covering one pattern again, as a rule probe does for each covering of
-    its premise, builds neither again.
+    rows of P's relations from the rows memo (patterns._memo_rows), shared
+    with H's rows, so covering one pattern again, as a rule probe does for
+    each covering of its premise, builds neither again.
     """
     fixed = fixed or {}
     if not P.universe.as_set().issuperset(fixed):

@@ -29,15 +29,12 @@ and rows directly.  Any other source (a pattern being covered) is numbered
 by its universe's own rank index (ClosedSet.index, cached on the set, which
 already holds every element's summand ranks); a plain element tuple is
 wrapped in a ClosedSet once per search.  Rows, the target's and such a
-source's alike, are built once per (closed set, le1, le2) snapshot and
-memoized on the identity of those three objects in a small
-least-recently-used memo whose entries hold the objects alive, so an id
-cannot be reused while its entry is live.  Every hit refreshes its entry,
-so a host's rows stay cached while a stream of distinct patterns (the
+source's alike, come from the rows memo of patterns (_memo_rows), built once
+per (closed set, le1, le2) frozenset snapshot.  Every hit refreshes its
+entry, so a host's rows stay cached while a stream of distinct patterns (the
 premises and conclusions of rules, the class representatives of a core)
-passes through.  Only frozenset relations are memoized, since a mutable set
-can change between calls.  Terms stay OrdinalTerm at the API: limits come
-in as terms and assignments go out as terms.
+passes through.  Terms stay OrdinalTerm at the API: limits come in as terms
+and assignments go out as terms.
 """
 
 from __future__ import annotations
@@ -47,6 +44,7 @@ from dataclasses import dataclass, field
 from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
 
 from .ordinals import ClosedSet, OrdinalTerm, ZERO
+from .patterns import _memo_rows
 
 Pair = Tuple[OrdinalTerm, OrdinalTerm]
 Assignment = Dict[OrdinalTerm, OrdinalTerm]
@@ -88,41 +86,6 @@ class SearchLimits:
     ceiling: Optional[OrdinalTerm] = None
     indec_floors: Mapping[OrdinalTerm, OrdinalTerm] = field(default_factory=dict)
     moved_floor: Optional[OrdinalTerm] = None
-
-
-_ROWS_MEMO_SIZE = 8
-_rows_memo: Dict[Tuple[int, int, int], tuple] = {}  # least recently used first
-
-
-def _rows(rank: Mapping, size: int, le1, le2) -> tuple:
-    """Bitset rows (out1, in1, out2, in2) of two relations over the elements
-    numbered by rank; pairs with an unnumbered endpoint are left out."""
-    rows = []
-    for rel in (le1, le2):
-        out, into = [0] * size, [0] * size
-        for a, b in rel:
-            ra, rb = rank.get(a), rank.get(b)
-            if ra is not None and rb is not None:
-                out[ra] |= 1 << rb
-                into[rb] |= 1 << ra
-        rows += (out, into)
-    return tuple(rows)
-
-
-def _memo_rows(elements: ClosedSet, le1, le2) -> tuple:
-    """The rows of le1 and le2 over the ranks of a closed set, memoized per
-    frozenset snapshot; a hit moves its entry to the recently used end."""
-    if not (isinstance(le1, frozenset) and isinstance(le2, frozenset)):
-        return _rows(elements.index.rank, len(elements), le1, le2)
-    key = (id(elements), id(le1), id(le2))
-    hit = _rows_memo.pop(key, None)
-    if hit is None:
-        if len(_rows_memo) >= _ROWS_MEMO_SIZE:
-            del _rows_memo[next(iter(_rows_memo))]
-        # the entry keeps the three objects alive, so their ids stay theirs
-        hit = (elements, le1, le2, _rows(elements.index.rank, len(elements), le1, le2))
-    _rows_memo[key] = hit
-    return hit[3]
 
 
 def search_embeddings(

@@ -15,6 +15,7 @@ Everything here is a pure function of immutable values.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
+from operator import attrgetter
 from typing import Dict, Iterable, Iterator, Mapping, Tuple
 
 
@@ -79,6 +80,8 @@ class OrdinalTerm:
         return format_term(self)
 
 
+_term_key = attrgetter("key")  # sorting by it orders terms without calling __lt__
+
 ZERO = OrdinalTerm()
 ONE = OrdinalTerm((ZERO,))
 OMEGA = OrdinalTerm((ONE,))
@@ -117,6 +120,25 @@ def split_parts(a: OrdinalTerm) -> Tuple[OrdinalTerm, ...]:
     return (OrdinalTerm(a.exponents[:-1]), OrdinalTerm((a.exponents[-1],)))
 
 
+# A term's split parts as cuts of its exponents, remainder first.  Its key is
+# the tuple of its exponents' keys, so the same cuts of the key are the parts'
+# keys, and a closure check can read parts from keys without building them.
+_SPLIT = (slice(None, -1), slice(-1, None))
+
+
+def missing_parts(elems: Iterable[OrdinalTerm]) -> Iterator[Tuple[OrdinalTerm, OrdinalTerm]]:
+    """(x, p) for each split part p of an element x of elems that elems lacks,
+    in the order of elems, remainder first; only the missing parts are built."""
+    elems = tuple(elems)
+    keys = {x.key for x in elems}
+    for x in elems:
+        key = x.key
+        if len(key) > 1:
+            for cut in _SPLIT:
+                if key[cut] not in keys:
+                    yield x, OrdinalTerm(x.exponents[cut])
+
+
 def summands(a: OrdinalTerm) -> Tuple[OrdinalTerm, ...]:
     """The indecomposable summands of a, leading first."""
     return tuple(OrdinalTerm((e,)) for e in a.exponents)
@@ -135,7 +157,8 @@ class CarrierIndex:
 
     Closedness puts every part and every summand of an element in the set,
     so all of these are ranks of the same set; a part is smaller than its
-    element, so its rank is smaller too: parts come before wholes.
+    element, so its rank is smaller too: parts come before wholes.  Parts are
+    found by key (the cuts of _SPLIT), so no term is built.
     """
 
     __slots__ = ("elements", "rank", "summands", "parts", "by_summands", "indecomposables")
@@ -143,10 +166,12 @@ class CarrierIndex:
     def __init__(self, elements: Tuple[OrdinalTerm, ...]):
         self.elements = elements
         rank = {x: r for r, x in enumerate(elements)}
+        by_key = {x.key: r for r, x in enumerate(elements)}
         sums: list = []
         parts: list = []
         for r, x in enumerate(elements):
-            split = tuple(rank[p] for p in split_parts(x))
+            key = x.key
+            split = tuple(by_key[key[cut]] for cut in _SPLIT) if len(key) > 1 else ()
             parts.append(split)
             if split:  # the remainder is smaller, so its summands are known
                 sums.append(sums[split[0]] + (split[1],))
@@ -176,16 +201,12 @@ class ClosedSet:
     __slots__ = ("elements", "_set", "_index")
 
     def __init__(self, elements: Iterable[OrdinalTerm]):
-        elems = sorted(set(elements))
-        eset = frozenset(elems)
+        eset = frozenset(elements)
+        elems = sorted(eset, key=_term_key)
         if ZERO not in eset:
             raise ValueError("closed set must contain 0")
-        for x in elems:
-            for p in split_parts(x):
-                if p not in eset:
-                    raise ValueError(
-                        f"closed set is missing {format_term(p)}, a part of {format_term(x)}"
-                    )
+        for x, p in missing_parts(elems):
+            raise ValueError(f"closed set is missing {format_term(p)}, a part of {format_term(x)}")
         object.__setattr__(self, "elements", tuple(elems))
         object.__setattr__(self, "_set", eset)
         object.__setattr__(self, "_index", None)

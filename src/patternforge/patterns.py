@@ -8,22 +8,30 @@ order itself (le0) is implicit and never stored.
 These order and respect clauses are written once, in order_clause_failures;
 pattern validation, the hierarchy's structural pruning and axiom report, and
 rule completion all read their verdicts from it.
+
+Relations are read as bitset rows over ranks: for each relation, one Python
+int per rank for the pairs leaving it (out) and one for the pairs entering
+it (in).  _rows is the one builder; _memo_rows memoizes the rows of a closed
+set's relation snapshot, keyed on the identity of the set and of two
+frozensets, and numbers elements by the set's rank index
+(ClosedSet.index).  The embedding search, the clause engine (which numbers
+its own elements), the isomorphism key and the closed-substructure check all
+read these rows; the frozensets of term pairs stay the public form.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left, bisect_right
 from dataclasses import dataclass
-from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Optional, Sequence, Tuple
+from typing import AbstractSet, Dict, FrozenSet, Iterable, Iterator, List, Mapping, Optional, Sequence, Tuple
 
 from .ordinals import (
+    CarrierIndex,
     ClosedSet,
     OrdinalTerm,
     ZERO,
     closure,
     format_term,
-    is_indecomposable,
-    split_parts,
+    missing_parts,
 )
 
 Pair = Tuple[OrdinalTerm, OrdinalTerm]
@@ -50,7 +58,7 @@ class InvalidPatternError(ValueError):
 
 def _normalize(universe, pairs) -> FrozenSet[Pair]:
     """Relation as a frozenset including all reflexive pairs."""
-    out = set((a, b) for a, b in pairs)
+    out = set(pairs) if isinstance(pairs, (set, frozenset)) else {(a, b) for a, b in pairs}
     out.update((x, x) for x in universe)
     return frozenset(out)
 
@@ -58,6 +66,53 @@ def _normalize(universe, pairs) -> FrozenSet[Pair]:
 def restrict_relation(rel: Iterable[Pair], keep) -> FrozenSet[Pair]:
     """The pairs of rel with both endpoints in the set keep."""
     return frozenset(p for p in rel if p[0] in keep and p[1] in keep)
+
+
+_ROWS_MEMO_SIZE = 8
+_rows_memo: Dict[Tuple[int, int, int], tuple] = {}  # least recently used first
+
+
+def _rows(rank: Mapping, size: int, le1, le2) -> tuple:
+    """Bitset rows (out1, in1, out2, in2) of two relations over the elements
+    numbered by rank; pairs with an unnumbered endpoint are left out."""
+    rows = []
+    for rel in (le1, le2):
+        out, into = [0] * size, [0] * size
+        for a, b in rel:
+            ra, rb = rank.get(a), rank.get(b)
+            if ra is not None and rb is not None:
+                out[ra] |= 1 << rb
+                into[rb] |= 1 << ra
+        rows += (out, into)
+    return tuple(rows)
+
+
+def _memo_rows(elements: ClosedSet, le1, le2) -> tuple:
+    """The rows of le1 and le2 over the ranks of a closed set, memoized per
+    frozenset snapshot in a small least-recently-used memo; a hit moves its
+    entry to the recently used end.  An entry holds its three objects alive,
+    so their ids cannot be reused while it is live.  Mutable relations can
+    change between calls, so they are never memoized."""
+    if not (isinstance(le1, frozenset) and isinstance(le2, frozenset)):
+        return _rows(elements.index.rank, len(elements), le1, le2)
+    key = (id(elements), id(le1), id(le2))
+    hit = _rows_memo.pop(key, None)
+    if hit is None:
+        if len(_rows_memo) >= _ROWS_MEMO_SIZE:
+            del _rows_memo[next(iter(_rows_memo))]
+        hit = (elements, le1, le2, _rows(elements.index.rank, len(elements), le1, le2))
+    _rows_memo[key] = hit
+    return hit[3]
+
+
+def _bits(mask: int) -> List[int]:
+    """The ranks set in mask, ascending."""
+    out = []
+    while mask:
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
+    return out
 
 
 def order_clause_failures(
@@ -74,41 +129,56 @@ def order_clause_failures(
       respect        k (a, b, c)  (a, c) in le_k, a le_{k-1} b le_{k-1} c with
                                   le0 the term order, but not (a, b)
 
-    The middle element b and the third element c are walked in ascending
-    order among elems only: transitivity walks c over b's successors in
-    le_k, 2-respect walks b over a's successors in le1 (both lists built
-    once, from the sorted pairs), and 1-respect walks b over the slice of
-    elems between a and c, found by bisection.
+    The pairs are read as rows over ranks, and the middle element b and the
+    third element c range over elems only.  elems are numbered in order; only
+    when a pair leaves elems are its outside endpoints numbered too, all in
+    term order, with a mask E of the ranks of elems.  Each clause is then a
+    row operation per rank a: antisymmetry is out[a] & in[a] above the
+    diagonal, transitivity out[b] & E & ~out[a] for each strict successor b
+    of a, inclusion out2[a] & ~out1[a], term order out1[a] below the
+    diagonal, 1-respect the ranks from a to c in E & ~out1[a], and 2-respect
+    out1[a] & E & in1[c] & ~out2[a].
     """
-    eset = set(elems)
-    sorted1, sorted2 = sorted(le1), sorted(le2)
-    succ1, succ2 = {}, {}  # element -> its successors in elems, ascending
-    for succ, pairs in ((succ1, sorted1), (succ2, sorted2)):
-        for a, b in pairs:
-            if b in eset:
-                succ.setdefault(a, []).append(b)
-    for k, rel, pairs, succ in ((1, le1, sorted1, succ1), (2, le2, sorted2, succ2)):
-        for a, b in pairs:
-            if (b, a) in rel and a < b:
-                yield "antisymmetric", k, (a, b)
-        for a, b in pairs:
-            for c in succ.get(b, ()):
-                if (a, c) not in rel:
-                    yield "transitive", k, (a, b, c)
-    for a, b in sorted2:
-        if (a, b) not in le1:
-            yield "inclusion", 2, (a, b)
-    for a, b in sorted1:
-        if not a <= b:
-            yield "term order", 1, (a, b)
-    for a, c in sorted1:
-        for b in elems[bisect_left(elems, a) : bisect_right(elems, c)]:
-            if (a, b) not in le1:
-                yield "respect", 1, (a, b, c)
-    for a, c in sorted2:
-        for b in succ1.get(a, ()):
-            if (b, c) in le1 and (a, b) not in le2:
-                yield "respect", 2, (a, b, c)
+    terms = elems
+    rank = {x: r for r, x in enumerate(terms)}
+    out1, in1, out2, in2 = _rows(rank, len(terms), le1, le2)
+    inside = (1 << len(terms)) - 1
+    if sum(map(int.bit_count, out1 + out2)) != len(le1) + len(le2):
+        # some pair leaves elems
+        terms = sorted(set(elems).union(*le1, *le2))
+        rank = {x: r for r, x in enumerate(terms)}
+        out1, in1, out2, in2 = _rows(rank, len(terms), le1, le2)
+        inside = sum(1 << rank[x] for x in elems)
+    # a rank whose rows hold its reflexive pair and nothing else starts no
+    # failed clause, so only the other ranks are walked as a
+    ranks = [a for a in range(len(terms)) if out1[a] != 1 << a or out2[a] != 1 << a]
+    for k, out, into in ((1, out1, in1), (2, out2, in2)):
+        for a in ranks:
+            for b in _bits(out[a] & into[a] & -(2 << a)):  # -(2 << a): the ranks above a
+                yield "antisymmetric", k, (terms[a], terms[b])
+        for a in ranks:
+            row = out[a]
+            for b in _bits(row & ~(1 << a)):
+                for c in _bits(out[b] & inside & ~row):
+                    yield "transitive", k, (terms[a], terms[b], terms[c])
+    for a in ranks:
+        for b in _bits(out2[a] & ~out1[a]):
+            yield "inclusion", 2, (terms[a], terms[b])
+    for a in ranks:
+        for b in _bits(out1[a] & ((1 << a) - 1)):
+            yield "term order", 1, (terms[a], terms[b])
+    for a in ranks:
+        missing = inside & ~out1[a] & -(1 << a)  # the ranks b >= a of elems outside a's row
+        if missing:
+            for c in _bits(out1[a] & -(1 << a)):
+                for b in _bits(missing & ((2 << c) - 1)):
+                    yield "respect", 1, (terms[a], terms[b], terms[c])
+    for a in ranks:
+        middle = out1[a] & inside & ~out2[a]
+        if middle:
+            for c in _bits(out2[a]):
+                for b in _bits(middle & in1[c]):
+                    yield "respect", 2, (terms[a], terms[b], terms[c])
 
 
 _VIOLATION_NAMES = {
@@ -131,27 +201,25 @@ def validate_structure(
     clauses, each with a witness pair or triple; an empty list means valid.
     A respect failure is reported once per pair, with its least witness.
     """
-    elems = sorted(set(universe))
-    eset = frozenset(elems)
     out: List[Violation] = []
+    if isinstance(universe, ClosedSet):  # closed by construction
+        elems, eset = universe.elements, universe.as_set()
+    else:
+        eset = frozenset(universe)
+        elems = sorted(eset)
+        if ZERO not in eset:
+            out.append(Violation("universe not closed (missing 0)", (ZERO,)))
+        out.extend(Violation("universe not closed", w) for w in missing_parts(elems))
 
-    if ZERO not in eset:
-        out.append(Violation("universe not closed (missing 0)", (ZERO,)))
-    for x in elems:
-        for p in split_parts(x):
-            if p not in eset:
-                out.append(Violation("universe not closed", (x, p)))
-
-    r1 = _normalize(elems, le1)
-    r2 = _normalize(elems, le2)
-    inside1 = restrict_relation(r1, eset)
-    inside2 = restrict_relation(r2, eset)
-    for name, rel, inside in (("le1", r1, inside1), ("le2", r2, inside2)):
-        for a, b in sorted(rel - inside):
-            out.append(Violation(f"{name} pair outside universe", (a, b)))
+    inside = []
+    for name, rel in (("le1", le1), ("le2", le2)):
+        rel = _normalize(elems, rel)
+        outside = sorted(p for p in rel if p[0] not in eset or p[1] not in eset)
+        out.extend(Violation(f"{name} pair outside universe", p) for p in outside)
+        inside.append(rel.difference(outside) if outside else rel)
 
     reported = set()
-    for clause, k, w in order_clause_failures(elems, inside1, inside2):
+    for clause, k, w in order_clause_failures(elems, *inside):
         if clause == "respect":
             if (k, w[0], w[2]) in reported:
                 continue
@@ -243,10 +311,42 @@ def trivial_pattern(universe: Iterable[OrdinalTerm]) -> Pattern:
 def is_closed_substructure(Q: Pattern, P: Pattern) -> bool:
     """True iff Q's universe is a closed subset of P's and Q's relations are
     exactly P's restrictions."""
-    if not Q.universe <= P.universe:
-        return False
-    keep = Q.universe.as_set()
-    return Q.le1 == restrict_relation(P.le1, keep) and Q.le2 == restrict_relation(P.le2, keep)
+    return Q.universe <= P.universe and _is_restriction(Q, P.universe, P.le1, P.le2)
+
+
+def _is_restriction(Q: Pattern, universe: ClosedSet, le1, le2) -> bool:
+    """True iff Q's relations are le1 and le2 restricted to Q's universe, a
+    subset of universe.  A pattern holds no pair outside its universe, so
+    this is containment plus equal sizes, the restriction's size being the
+    popcount of universe's out-rows of Q's ranks under Q's rank mask."""
+    rank = universe.index.rank
+    ranks = [rank[x] for x in Q.universe]
+    mask = sum(1 << r for r in ranks)
+    out1, _, out2, _ = _memo_rows(universe, le1, le2)
+    return all(
+        q <= rel and sum((out[r] & mask).bit_count() for r in ranks) == len(q)
+        for q, rel, out in ((Q.le1, le1, out1), (Q.le2, le2, out2))
+    )
+
+
+def _rank_key(index: CarrierIndex, ranks: Sequence[int], rows: tuple) -> Tuple[tuple, tuple]:
+    """isomorphism_type of the closed subset at the ascending ranks of index,
+    read from the summand ranks of index and the out-rows of rows, which
+    number the same set."""
+    pos = {r: i for i, r in enumerate(ranks)}
+    summands = index.summands
+    indecs = {r: i for i, r in enumerate(r for r in ranks if len(summands[r]) == 1)}
+    shape = tuple(tuple(indecs[s] for s in summands[r]) for r in ranks)
+    mask = sum(1 << r for r in ranks)
+    pairs = []
+    for out in (rows[0], rows[2]):
+        found = []
+        for i, r in enumerate(ranks):
+            strict = out[r] & mask & ~(1 << r)
+            if strict:
+                found += [(i, pos[s]) for s in _bits(strict)]
+        pairs.append(tuple(found))
+    return shape, tuple(pairs)
 
 
 def isomorphism_type(
@@ -255,25 +355,29 @@ def isomorphism_type(
     """The isomorphism key of le1 and le2 on the ascending closed universe
     elements: each element as the positions of its summands among the
     indecomposables, paired with the strict pairs of le1 and le2 between the
-    elements as position pairs.  The canonical isomorphism sends the i-th
-    indecomposable to the i-th and extends additively, so it preserves order:
-    patterns are isomorphic exactly when their keys are equal, positionally."""
-    pos = {x: i for i, x in enumerate(elements)}
-    # the summand w^g of an element is named by its exponent g
-    indecs = {x.exponents[0]: i for i, x in enumerate(filter(is_indecomposable, elements))}
-    shape = tuple(tuple(indecs[g] for g in x.exponents) for x in elements)
-    pairs = tuple(
-        tuple(sorted((pos[a], pos[b]) for a, b in restrict_relation(rel, pos) if a != b))
-        for rel in (le1, le2)
-    )
-    return shape, pairs
+    elements as position pairs, in ascending order.  The canonical
+    isomorphism sends the i-th indecomposable to the i-th and extends
+    additively, so it preserves order: patterns are isomorphic exactly when
+    their keys are equal, positionally.  Raises ValueError when elements is
+    not closed (lacks 0 or a split part of an element)."""
+    universe = elements if isinstance(elements, ClosedSet) else ClosedSet(elements)
+    index = universe.index
+    return _rank_key(index, range(len(universe)), _rows(index.rank, len(universe), le1, le2))
 
 
 def find_isomorphism(P: Pattern, Q: Pattern) -> Optional[Dict[OrdinalTerm, OrdinalTerm]]:
     """The canonical pattern isomorphism (see isomorphism_type) as a map from
-    P's universe onto Q's, or None when the patterns are not isomorphic."""
-    keys = [isomorphism_type(R.universe.elements, R.le1, R.le2) for R in (P, Q)]
-    return dict(zip(P.universe, Q.universe)) if keys[0] == keys[1] else None
+    P's universe onto Q's, or None when the patterns are not isomorphic.
+    Each key is read from the pattern's universe index and the memoized rows
+    of its relations, which a covering search of it has usually just built."""
+    if P is not Q:
+        keys = [
+            _rank_key(R.universe.index, range(len(R.universe)), _memo_rows(R.universe, R.le1, R.le2))
+            for R in (P, Q)
+        ]
+        if keys[0] != keys[1]:
+            return None
+    return dict(zip(P.universe, Q.universe))
 
 
 def _ascending(X: Iterable[OrdinalTerm]) -> Sequence[OrdinalTerm]:

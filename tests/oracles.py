@@ -18,6 +18,7 @@ from patternforge import (
     ZERO,
     add,
     extends_above,
+    format_term,
     is_covering,
     is_indecomposable,
     isominimal,
@@ -458,3 +459,47 @@ def naive_clause_failures(elems, le1, le2):
         for b in elems:
             if (a, b) in le1 and (b, c) in le1 and (a, b) not in le2:
                 yield "respect", 2, (a, b, c)
+
+
+def naive_isomorphism_type(elements, le1, le2):
+    """patterns.isomorphism_type on terms, for an ascending closed elements:
+    each element's exponents looked up among the indecomposables' exponents,
+    and the strict pairs of the relations restricted to the elements, sorted
+    as position pairs."""
+    pos = {x: i for i, x in enumerate(elements)}
+    indecs = {x.exponents[0]: i for i, x in enumerate(filter(is_indecomposable, elements))}
+    shape = tuple(tuple(indecs[g] for g in x.exponents) for x in elements)
+    pairs = tuple(
+        tuple(sorted((pos[a], pos[b]) for a, b in rel if a in pos and b in pos and a != b))
+        for rel in (le1, le2)
+    )
+    return shape, pairs
+
+
+def term_closure_error(elements):
+    """The message ClosedSet raises for elements, or None when it accepts
+    them, by building every split part as a term: 0 first, then each
+    element's remainder and last summand, elements ascending."""
+    elems = sorted(set(elements))
+    if ZERO not in elems:
+        return "closed set must contain 0"
+    for x, p in term_missing_parts(elems):
+        return f"closed set is missing {format_term(p)}, a part of {format_term(x)}"
+    return None
+
+
+def term_missing_parts(elems):
+    """(x, p) for each split part p of an element x of elems that elems
+    lacks, found by building p with split_parts."""
+    members = set(elems)
+    return [(x, p) for x in elems for p in split_parts(x) if p not in members]
+
+
+def term_carrier_index(elements):
+    """(parts, summands, by_summands) of an ascending closed elements tuple as
+    CarrierIndex defines them, each part and summand built as a term and
+    looked up by term."""
+    rank = {x: r for r, x in enumerate(elements)}
+    parts = tuple(tuple(rank[p] for p in split_parts(x)) for x in elements)
+    sums = tuple(tuple(rank[s] for s in summands(x)) for x in elements)
+    return parts, sums, {s: r for r, s in enumerate(sums)}

@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from patternforge import ZERO, ClosedSet, Hierarchy, closure, is_indecomposable, parse_term, search_coverings
-from patternforge import embedding
+from patternforge import patterns as patterns_module
 from patternforge.cores import closed_subsets
 from patternforge.embedding import SearchLimits, SourceSpec, TargetSpec, search_embeddings
 from patternforge.hierarchy import game_pass
@@ -163,12 +163,12 @@ def test_host_rows_survive_a_stream_of_patterns(monkeypatch):
     # the host's rows are built once, each pattern's once
     H = built("wide20")
     patterns = [H.restrict_pattern(s) for s in closed_subsets(H.carrier, max_indecomposables=2)[:12]]
-    assert len(patterns) > embedding._ROWS_MEMO_SIZE
+    assert len(patterns) > patterns_module._ROWS_MEMO_SIZE
     built_for = []
-    rows = embedding._rows
-    monkeypatch.setattr(embedding, "_rows_memo", {})
+    rows = patterns_module._rows
+    monkeypatch.setattr(patterns_module, "_rows_memo", {})
     monkeypatch.setattr(
-        embedding, "_rows", lambda rank, size, le1, le2: built_for.append(le1) or rows(rank, size, le1, le2)
+        patterns_module, "_rows", lambda rank, size, le1, le2: built_for.append(le1) or rows(rank, size, le1, le2)
     )
     for P in patterns:
         for _ in range(2):

@@ -21,8 +21,9 @@ from patternforge import (
     parse_term,
 )
 from patternforge import ordinals
-from patternforge.ordinals import omega_power, split_parts, summands
-from oracles import brute_compare
+from patternforge.ordinals import missing_parts, omega_power, split_parts, summands
+from conftest import FORGE_CARRIERS
+from oracles import brute_compare, term_carrier_index, term_closure_error, term_missing_parts
 
 
 def t(s):
@@ -219,6 +220,31 @@ def test_closed_set_rejects_open():
         ClosedSet([ZERO, t("w+1")])
     with pytest.raises(ValueError):
         ClosedSet([ONE])
+
+
+@given(term_sets, st.data())
+@settings(max_examples=300)
+def test_closed_set_checks_parts_by_key_as_terms_do(xs, data):
+    # parts are read as cuts of the key; accepting, rejecting and the message
+    # must be those of the check that builds every part as a term
+    elems = closure(xs).elements
+    keep = data.draw(st.lists(st.booleans(), min_size=len(elems), max_size=len(elems)))
+    candidate = [x for x, k in zip(elems, keep) if k]
+    want = term_closure_error(candidate)
+    try:
+        got = ClosedSet(candidate)
+    except ValueError as e:
+        assert str(e) == want
+    else:
+        assert want is None and got.elements == tuple(sorted(candidate))
+    assert list(missing_parts(candidate)) == term_missing_parts(candidate)
+
+
+def test_carrier_index_parts_match_term_reference():
+    for carrier in FORGE_CARRIERS:
+        index = ClosedSet(carrier.elements).index
+        parts, sums, by_summands = term_carrier_index(carrier.elements)
+        assert (index.parts, index.summands, index.by_summands) == (parts, sums, by_summands)
 
 
 @given(term_sets)

@@ -21,9 +21,15 @@ from patternforge import (
     validate_structure,
 )
 from patternforge.cores import closed_subsets
-from patternforge.patterns import order_clause_failures
-from conftest import built, clause_inputs
-from oracles import brute_isomorphism, brute_validate, naive_clause_failures, valid_relation_assignments
+from patternforge.patterns import _memo_rows, _rank_key, order_clause_failures, restrict_relation
+from conftest import built, clause_inputs, forged_relations, valid_hierarchies
+from oracles import (
+    brute_isomorphism,
+    brute_validate,
+    naive_clause_failures,
+    naive_isomorphism_type,
+    valid_relation_assignments,
+)
 
 
 def t(s):
@@ -131,7 +137,77 @@ def test_closed_substructure_rejects_relation_mismatch(hierarchy_big):
     assert not is_closed_substructure(enriched, P)
 
 
+@functools.lru_cache(maxsize=None)
+def _assignments_on(elements):
+    return valid_relation_assignments(elements)
+
+
+@st.composite
+def substructure_candidates(draw):
+    """(Q, P): P a pattern with the relations of a valid forged host, Q on a
+    closed subset of P's universe (or of another host's) with P's
+    restriction, another host's restriction, or any valid relations; these
+    are drawn on a subset holding a strict pair of P where one exists, so
+    that they often have fewer pairs than P's restriction, or as many but
+    other ones."""
+    H = draw(valid_hierarchies())
+    P = Pattern(H.carrier, H.le1, H.le2)
+    how = draw(st.sampled_from(["restriction", "assigned", "other host"]))
+    if how == "other host":
+        H = draw(valid_hierarchies())
+    subsets = closed_subsets(H.carrier, max_elements=5)
+    if how == "assigned":
+        a, b = draw(st.sampled_from(H.strict(1)))
+        subset = draw(st.sampled_from([s for s in subsets if a in s and b in s] or subsets))
+        le1, le2 = draw(st.sampled_from(_assignments_on(subset)))
+        return Pattern(subset, le1, le2), P
+    return H.restrict_pattern(draw(st.sampled_from(subsets))), P
+
+
+@given(substructure_candidates())
+@settings(max_examples=200, deadline=None)
+def test_closed_substructure_matches_restriction(case):
+    # the check compares pair counts on P's rows; its definition restricts
+    # P's relations to Q's universe and compares the frozensets
+    Q, P = case
+    keep = Q.universe.as_set()
+    want = Q.universe <= P.universe and all(
+        Q.rel(k) == restrict_relation(P.rel(k), keep) for k in (1, 2)
+    )
+    assert is_closed_substructure(Q, P) == want
+
+
 # -- isomorphism --------------------------------------------------------------
+
+
+def _keys_match_term_key(carrier, le1, le2):
+    index, rows = carrier.index, _memo_rows(carrier, le1, le2)
+    for subset in closed_subsets(carrier):
+        want = naive_isomorphism_type(subset, le1, le2)
+        assert isomorphism_type(subset, le1, le2) == want
+        assert _rank_key(index, [index.rank[x] for x in subset], rows) == want
+
+
+@given(forged_relations())
+@settings(max_examples=150, deadline=None)
+def test_isomorphism_keys_match_term_key_on_forged_hosts(case):
+    universe, le1, le2 = case
+    _keys_match_term_key(universe, frozenset(le1), frozenset(le2))
+
+
+@pytest.mark.parametrize("name", ["omega2", "big", "ladder", "wide20"])
+def test_isomorphism_keys_match_term_key_on_built_hosts(name):
+    H = built(name)
+    _keys_match_term_key(H.carrier, H.le1, H.le2)
+
+
+def test_isomorphism_type_rejects_open_elements():
+    # missing summands (w+1 without w), a missing 0, and a missing remainder
+    # alone (w+w+1 without w+w, all its summands present)
+    for gens in (["0", "w+1"], ["1"], ["0", "1", "w", "w+w+1"]):
+        with pytest.raises(ValueError):
+            isomorphism_type([t(g) for g in gens], frozenset(), frozenset())
+
 
 
 def test_iso_identity():
