@@ -24,29 +24,48 @@ Pruning only ever shrinks the relations, so iterating the game plus the
 structural clauses from the full order reaches a fixed point within
 |carrier|^2 rounds.  The structural clauses are the order and respect clauses
 of patterns.order_clause_failures, the same definition pattern validation
-uses, plus strict-pair indecomposability (indecomposable_endpoints).
-Rounds evaluate all pairs against an immutable snapshot, so the result is
-independent of evaluation order and bit-exact across rebuilds.
+uses (the pass calls its rank core, patterns._clause_failures), plus
+strict-pair indecomposability (indecomposable_endpoints, applied as rank
+masks).  Rounds evaluate all pairs against an immutable snapshot, so the
+result is independent of evaluation order and bit-exact across rebuilds.
 
 A round decides some games without playing them, and prunes exactly what
 playing them would (see _game_round):
-  (i)  a failed one-round game of (alpha, beta) fails for every larger beta.
-       The larger beta's reduced challenge keeps alpha's rank cut and shed
-       zone, so it contains the smaller one, with more pins and the same
-       ceiling alpha; restricting a witness for it, as game_pass does for
-       the dominant challenge, would give a witness for the smaller one.
-  (ii) a pair's two-round game fails whenever its one-round game fails: it
-       passes only through a forward witness of the same search.
+  (i)   a failed one-round game of (alpha, beta) fails for every larger beta.
+        The larger beta's reduced challenge keeps alpha's rank cut and shed
+        zone, so it contains the smaller one, with more pins and the same
+        ceiling alpha; restricting a witness for it, as game_pass does for
+        the dominant challenge, would give a witness for the smaller one.
+  (ii)  a pair's two-round game fails whenever its one-round game fails: it
+        passes only through a forward witness of the same search.
+  (iii) a decomposable alpha, 0 included, loses every one-round game, and
+        so by (ii) every two-round game.  Its reduced challenge keeps alpha
+        (only ranks below alpha are shed) and, being closed, all of alpha's
+        summands.  They lie below alpha, so they are pinned to themselves,
+        and alpha's image, the sum of theirs, is alpha itself, which is not
+        below the ceiling alpha.  For alpha = 0 the ceiling admits no rank
+        at all, not even 0's own image.
+
+The build holds its relations as bitset rows over carrier ranks, the layout
+of patterns._rows: per relation one Python int per rank for the pairs
+leaving it (out) and one for the pairs entering it (in), from the full
+order to the fixed point.  A round's game step visits only the pairs the
+rows hold and prunes failed alphas by mask; the structural pass clears the
+bits the indecomposability masks and the clause core blame, in both rows.
+Each round builds its snapshot frozensets from the rows once, one object
+for both relations when their rows agree (always in the first round), and
+hands a copy of the rows to the rows memo of patterns under them, so no
+game rebuilds rows.  The last round prunes nothing, so its snapshot is the
+built hierarchy's relations, already in the memo.
 
 The games run on the carrier's rank index (ClosedSet.index): the reduced
 challenge is cut out by rank bounds and closed by one descending sweep
 over split-part ranks, and the pins and the backward source are prefixes of
 the challenge and of the carrier.  Every game of a round hands the search
 the same snapshot frozensets, unrestricted, as both the challenge's and the
-carrier's relations, so the search reads the target's bitset rows for both
-and builds them once per round (see embedding).  Hierarchy.target_spec
-passes the built relations themselves, so all coverings into one hierarchy
-share one set of rows.
+carrier's relations, so the search reads the memoized snapshot rows for
+both (see embedding).  Hierarchy.target_spec passes the built relations
+themselves, so all coverings into one hierarchy share one set of rows.
 """
 
 from __future__ import annotations
@@ -64,9 +83,19 @@ from .ordinals import (
     is_indecomposable,
     parts_closure,
 )
-from .patterns import Pattern, induced_pattern, order_clause_failures, restrict_relation
+from .patterns import (
+    Pattern,
+    _bits,
+    _clause_failures,
+    _memo_rows,
+    _memo_store,
+    induced_pattern,
+    order_clause_failures,
+    restrict_relation,
+)
 
 Pair = Tuple[OrdinalTerm, OrdinalTerm]
+Rows = Tuple[List[int], List[int], List[int], List[int]]  # out1, in1, out2, in2
 
 BUILD_WINDOW = 1
 
@@ -208,70 +237,114 @@ def indecomposable_endpoints(k: int, a: OrdinalTerm, b: OrdinalTerm) -> bool:
     return is_indecomposable(a) and (k == 1 or is_indecomposable(b))
 
 
-def _structural_pass(carrier: ClosedSet, rel1: set, rel2: set) -> Tuple[int, int]:
+def _decomposables(carrier: ClosedSet) -> int:
+    """The mask of the carrier's decomposable ranks, 0 included."""
+    return (1 << len(carrier)) - 1 - sum(1 << r for r in carrier.index.indecomposables)
+
+
+def _structural_pass(carrier: ClosedSet, rows: Rows) -> Tuple[int, int]:
     """Restore strict-pair indecomposability and the order and respect clauses
-    by simultaneous removals, iterated to stability.  Each failed clause drops
-    the pair it blames; inside the term order antisymmetry cannot fail."""
+    by simultaneous removals from the rows, iterated to stability.
+
+    rows are the build's live (out1, in1, out2, in2) over carrier ranks.
+    Indecomposability is a mask per rank: a decomposable rank keeps no strict
+    pair leaving it in either relation, an indecomposable one no strict le2
+    pair into a decomposable rank.  Each clause that the rank core of the
+    clause engine (patterns._clause_failures) reports failed drops the pair
+    it blames; inside the term order antisymmetry cannot fail."""
+    out1, in1, out2, in2 = rows
+    n = len(out1)
+    loose = _decomposables(carrier)
     removed1 = removed2 = 0
     while True:
-        drop = {
-            k: {p for p in rel if p[0] != p[1] and not indecomposable_endpoints(k, *p)}
-            for k, rel in ((1, rel1), (2, rel2))
-        }
-        for clause, k, w in order_clause_failures(carrier.elements, rel1, rel2):
-            if clause == "respect":
-                drop[k].add((w[0], w[2]))
-            elif clause != "antisymmetric":
-                drop[k].add(w[:2])
-        if not drop[1] and not drop[2]:
+        drop1 = [out1[a] & ~(1 << a) if loose >> a & 1 else 0 for a in range(n)]
+        drop2 = [out2[a] & ~(1 << a) & (-1 if loose >> a & 1 else loose) for a in range(n)]
+        for clause, k, w in _clause_failures(rows, (1 << n) - 1):
+            if clause != "antisymmetric":
+                a, b = (w[0], w[2]) if clause == "respect" else w[:2]
+                (drop1 if k == 1 else drop2)[a] |= 1 << b
+        count1 = sum(map(int.bit_count, drop1))
+        count2 = sum(map(int.bit_count, drop2))
+        if not count1 and not count2:
             return removed1, removed2
-        rel1 -= drop[1]
-        rel2 -= drop[2]
-        removed1 += len(drop[1])
-        removed2 += len(drop[2])
+        for out, into, drop in ((out1, in1, drop1), (out2, in2, drop2)):
+            for a, mask in enumerate(drop):
+                if mask:
+                    out[a] ^= mask
+                    for b in _bits(mask):
+                        into[b] ^= 1 << a
+        removed1 += count1
+        removed2 += count2
 
 
 def _game_round(
-    carrier: ClosedSet, rel1: set, rel2: set, snap1: FrozenSet[Pair], snap2: FrozenSet[Pair]
+    carrier: ClosedSet, rows: Rows, snap1: FrozenSet[Pair], snap2: FrozenSet[Pair]
 ) -> Tuple[int, int]:
     """Prune every pair failing its game against the snapshot relations,
     visiting pairs in ascending (beta, alpha) order.
 
-    Two outcomes are inferred instead of played; every game of the round
-    reads the same snapshot, so both are exact:
+    rows are the build's live (out1, in1, out2, in2) over carrier ranks, at
+    the start of the round equal to the snapshot's.  For each beta rank b
+    only the pairs present in either relation are visited, the ranks set in
+    (in1[b] | in2[b]) below b; a pair's games read the snapshot, and a
+    pruned pair is cleared from both of its rows.
 
-    (i)  once the one-round game of (alpha, beta) fails, it fails for every
-         larger beta'.  The reduced challenge of (alpha, beta') keeps the
-         same rank cut and shed zone for alpha and contains that of
-         (alpha, beta), its pins contain theirs, and the ceiling is alpha
-         for both.  A witness for the larger challenge would restrict to one
-         for the smaller: the restriction is still arithmetic, increasing,
-         below alpha and relation-preserving, and fixes the smaller pins.
-    (ii) the two-round game of a pair fails whenever its one-round game
-         does: it searches the same source, target and limits and passes
-         only after that search yields a forward witness.
+    Three outcomes are inferred instead of played; every game of the round
+    reads the same snapshot, so all are exact:
 
-    So one failed one-round game of alpha prunes (alpha, beta') from both
-    relations for every later beta', whether or not (alpha, beta') is in le1.
+    (i)   once the one-round game of (alpha, beta) fails, it fails for every
+          larger beta'.  The reduced challenge of (alpha, beta') keeps the
+          same rank cut and shed zone for alpha and contains that of
+          (alpha, beta), its pins contain theirs, and the ceiling is alpha
+          for both.  A witness for the larger challenge would restrict to one
+          for the smaller: the restriction is still arithmetic, increasing,
+          below alpha and relation-preserving, and fixes the smaller pins.
+    (ii)  the two-round game of a pair fails whenever its one-round game
+          does: it searches the same source, target and limits and passes
+          only after that search yields a forward witness.
+    (iii) a decomposable alpha, 0 included, fails every one-round game, and
+          so by (ii) every two-round game (see the module docstring).
+
+    So the alphas whose one-round game has failed form a mask, which starts
+    as the decomposable ranks, and every pair (alpha, beta') whose alpha is
+    in it is pruned from both relations, whether or not it is in le1.
     """
-    pruned1 = pruned2 = 0
+    out1, in1, out2, in2 = rows
     elems = carrier.elements
-    failed1 = set()  # alphas whose one-round game failed at some beta so far
+    failed = _decomposables(carrier)  # (iii)
+    cut = {a: a + 1 for a in _bits(failed)}  # failed alpha -> first beta rank pruned
+    pruned1 = pruned2 = 0
     for b, beta in enumerate(elems):
-        for alpha in elems[:b]:
-            pair = (alpha, beta)
-            if alpha not in failed1 and pair in rel1:
-                if not game_pass(1, alpha, beta, carrier, snap1, snap2):
-                    failed1.add(alpha)
-            if alpha in failed1:  # both games fail, by (i) and (ii)
-                pruned1 += pair in rel1
-                pruned2 += pair in rel2
-                rel1.discard(pair)
-                rel2.discard(pair)
-            elif pair in rel2 and not game_pass(2, alpha, beta, carrier, snap1, snap2):
-                rel2.discard(pair)
+        below = (1 << b) - 1
+        for a in _bits((in1[b] | in2[b]) & below & ~failed):
+            if in1[b] >> a & 1 and not game_pass(1, elems[a], beta, carrier, snap1, snap2):
+                failed |= 1 << a  # (i)
+                cut[a] = b
+            elif in2[b] >> a & 1 and not game_pass(2, elems[a], beta, carrier, snap1, snap2):
+                in2[b] ^= 1 << a
+                out2[a] ^= 1 << b
                 pruned2 += 1
+        # both games of a failed alpha fail, by (i), (ii) and (iii)
+        dead1, dead2 = in1[b] & below & failed, in2[b] & below & failed
+        in1[b] ^= dead1
+        in2[b] ^= dead2
+        pruned1 += dead1.bit_count()
+        pruned2 += dead2.bit_count()
+    for a, b in cut.items():  # the out-rows lose the same pairs
+        out1[a] &= (1 << b) - 1
+        out2[a] &= (1 << b) - 1
     return pruned1, pruned2
+
+
+def _relations(carrier: ClosedSet, rows: Rows) -> Tuple[FrozenSet[Pair], FrozenSet[Pair]]:
+    """The relations held in rows as frozensets of term pairs; one object
+    serves as both when the two relations' rows agree."""
+    elems = carrier.elements
+    rels = [
+        frozenset([(x, elems[b]) for x, row in zip(elems, out) for b in _bits(row)])
+        for out in ((rows[0],) if rows[0] == rows[2] else (rows[0], rows[2]))
+    ]
+    return rels[0], rels[-1]
 
 
 def build_hierarchy(carrier: ClosedSet | Iterable[OrdinalTerm], top: OrdinalTerm) -> Hierarchy:
@@ -289,35 +362,41 @@ def build_hierarchy(carrier: ClosedSet | Iterable[OrdinalTerm], top: OrdinalTerm
         raise ValueError("top must be at least every carrier element")
 
     n = len(elems)
-    rel1 = {(a, b) for i, a in enumerate(elems) for b in elems[i:]}
-    rel2 = set(rel1)
+    out = [((1 << n) - 1) >> a << a for a in range(n)]  # the full order
+    into = [(2 << b) - 1 for b in range(n)]
+    rows = (out, into, list(out), list(into))
     log: List[RoundStats] = []
     for _ in range(n * n):
-        snap1, snap2 = frozenset(rel1), frozenset(rel2)
-        g1, g2 = _game_round(carrier, rel1, rel2, snap1, snap2)
-        s1, s2 = _structural_pass(carrier, rel1, rel2)
+        snap1, snap2 = _relations(carrier, rows)
+        _memo_store(carrier, snap1, snap2, tuple(map(list, rows)))
+        g1, g2 = _game_round(carrier, rows, snap1, snap2)
+        s1, s2 = _structural_pass(carrier, rows)
         log.append(RoundStats(g1, g2, s1, s2))
         if g1 + g2 + s1 + s2 == 0:
-            break
+            break  # the rows still equal this round's snapshot
     else:
         raise AssertionError("fixed point not reached within |carrier|^2 rounds")
 
-    return Hierarchy(
-        carrier=carrier,
-        top=top,
-        le1=frozenset(rel1),
-        le2=frozenset(rel2),
-        build_log=tuple(log),
-    )
+    return Hierarchy(carrier=carrier, top=top, le1=snap1, le2=snap2, build_log=tuple(log))
 
 
 def one_more_round(H: Hierarchy) -> Tuple[FrozenSet[Pair], FrozenSet[Pair]]:
     """Apply a single game-plus-structural round to H's relations; a built
-    hierarchy must come back unchanged."""
-    rel1, rel2 = set(H.le1), set(H.le2)
-    _game_round(H.carrier, rel1, rel2, H.le1, H.le2)
-    _structural_pass(H.carrier, rel1, rel2)
-    return frozenset(rel1), frozenset(rel2)
+    hierarchy must come back unchanged.
+
+    The round runs on rows over carrier ranks, which cannot hold a pair with
+    an endpoint outside the carrier; only a directly constructed Hierarchy
+    can have one, and it raises ValueError naming the pair."""
+    carrier = H.carrier
+    snapshot = _memo_rows(carrier, H.le1, H.le2)
+    for k, rel, out in ((1, H.le1, snapshot[0]), (2, H.le2, snapshot[2])):
+        if sum(map(int.bit_count, out)) != len(rel):
+            a, b = min(p for p in rel if p[0] not in carrier or p[1] not in carrier)
+            raise ValueError(f"le{k} pair ({format_term(a)}, {format_term(b)}) leaves the carrier")
+    rows = tuple(map(list, snapshot))
+    _game_round(carrier, rows, H.le1, H.le2)
+    _structural_pass(carrier, rows)
+    return _relations(carrier, rows)
 
 
 # ---------------------------------------------------------------------------

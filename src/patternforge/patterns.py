@@ -14,9 +14,13 @@ int per rank for the pairs leaving it (out) and one for the pairs entering
 it (in).  _rows is the one builder; _memo_rows memoizes the rows of a closed
 set's relation snapshot, keyed on the identity of the set and of two
 frozensets, and numbers elements by the set's rank index
-(ClosedSet.index).  The embedding search, the clause engine (which numbers
-its own elements), the isomorphism key and the closed-substructure check all
-read these rows; the frozensets of term pairs stay the public form.
+(ClosedSet.index); _memo_store puts rows a caller already holds into the
+same memo (the hierarchy build hands over each round's snapshot rows).  The
+embedding search, the clause engine (order_clause_failures numbers its own
+elements, the hierarchy's structural pass calls its rank core
+_clause_failures on the build's rows), the isomorphism key and the
+closed-substructure check all read these rows; the frozensets of term pairs
+stay the public form.
 """
 
 from __future__ import annotations
@@ -98,11 +102,22 @@ def _memo_rows(elements: ClosedSet, le1, le2) -> tuple:
     key = (id(elements), id(le1), id(le2))
     hit = _rows_memo.pop(key, None)
     if hit is None:
-        if len(_rows_memo) >= _ROWS_MEMO_SIZE:
-            del _rows_memo[next(iter(_rows_memo))]
-        hit = (elements, le1, le2, _rows(elements.index.rank, len(elements), le1, le2))
+        return _memo_store(elements, le1, le2, _rows(elements.index.rank, len(elements), le1, le2))
     _rows_memo[key] = hit
     return hit[3]
+
+
+def _memo_store(elements: ClosedSet, le1: FrozenSet[Pair], le2: FrozenSet[Pair], rows: tuple) -> tuple:
+    """Put rows into the memo as the rows of the frozensets le1 and le2 over
+    the ranks of elements, as the most recently used entry, and return them.
+    A caller that already holds the rows (the hierarchy build) hands them
+    over here; they must not change afterwards."""
+    key = (id(elements), id(le1), id(le2))
+    _rows_memo.pop(key, None)
+    if len(_rows_memo) >= _ROWS_MEMO_SIZE:
+        del _rows_memo[next(iter(_rows_memo))]
+    _rows_memo[key] = (elements, le1, le2, rows)
+    return rows
 
 
 def _bits(mask: int) -> List[int]:
@@ -132,53 +147,65 @@ def order_clause_failures(
     The pairs are read as rows over ranks, and the middle element b and the
     third element c range over elems only.  elems are numbered in order; only
     when a pair leaves elems are its outside endpoints numbered too, all in
-    term order, with a mask E of the ranks of elems.  Each clause is then a
-    row operation per rank a: antisymmetry is out[a] & in[a] above the
-    diagonal, transitivity out[b] & E & ~out[a] for each strict successor b
-    of a, inclusion out2[a] & ~out1[a], term order out1[a] below the
-    diagonal, 1-respect the ranks from a to c in E & ~out1[a], and 2-respect
-    out1[a] & E & in1[c] & ~out2[a].
+    term order, with a mask of the ranks of elems.  The clauses themselves
+    are evaluated on those rows by _clause_failures, whose rank witnesses
+    are mapped back to terms here.
     """
     terms = elems
     rank = {x: r for r, x in enumerate(terms)}
-    out1, in1, out2, in2 = _rows(rank, len(terms), le1, le2)
+    rows = _rows(rank, len(terms), le1, le2)
     inside = (1 << len(terms)) - 1
-    if sum(map(int.bit_count, out1 + out2)) != len(le1) + len(le2):
+    if sum(map(int.bit_count, rows[0] + rows[2])) != len(le1) + len(le2):
         # some pair leaves elems
         terms = sorted(set(elems).union(*le1, *le2))
         rank = {x: r for r, x in enumerate(terms)}
-        out1, in1, out2, in2 = _rows(rank, len(terms), le1, le2)
+        rows = _rows(rank, len(terms), le1, le2)
         inside = sum(1 << rank[x] for x in elems)
+    for clause, k, w in _clause_failures(rows, inside):
+        yield clause, k, tuple(terms[r] for r in w)
+
+
+def _clause_failures(rows: tuple, inside: int) -> Iterator[Tuple[str, int, Tuple[int, ...]]]:
+    """order_clause_failures on ranks: the failed clauses of the relations
+    held in rows (out1, in1, out2, in2), numbered in term order, with middle
+    and third elements drawn from the ranks in the mask inside, each witness
+    a tuple of ranks, in the same order.  Each clause is a row operation per
+    rank a: antisymmetry is out[a] & in[a] above the diagonal, transitivity
+    out[b] & inside & ~out[a] for each strict successor b of a, inclusion
+    out2[a] & ~out1[a], term order out1[a] below the diagonal, 1-respect the
+    ranks from a to c in inside & ~out1[a], and 2-respect
+    out1[a] & inside & in1[c] & ~out2[a]."""
+    out1, in1, out2, in2 = rows
     # a rank whose rows hold its reflexive pair and nothing else starts no
     # failed clause, so only the other ranks are walked as a
-    ranks = [a for a in range(len(terms)) if out1[a] != 1 << a or out2[a] != 1 << a]
+    ranks = [a for a in range(len(out1)) if out1[a] != 1 << a or out2[a] != 1 << a]
     for k, out, into in ((1, out1, in1), (2, out2, in2)):
         for a in ranks:
             for b in _bits(out[a] & into[a] & -(2 << a)):  # -(2 << a): the ranks above a
-                yield "antisymmetric", k, (terms[a], terms[b])
+                yield "antisymmetric", k, (a, b)
         for a in ranks:
             row = out[a]
             for b in _bits(row & ~(1 << a)):
                 for c in _bits(out[b] & inside & ~row):
-                    yield "transitive", k, (terms[a], terms[b], terms[c])
+                    yield "transitive", k, (a, b, c)
     for a in ranks:
         for b in _bits(out2[a] & ~out1[a]):
-            yield "inclusion", 2, (terms[a], terms[b])
+            yield "inclusion", 2, (a, b)
     for a in ranks:
         for b in _bits(out1[a] & ((1 << a) - 1)):
-            yield "term order", 1, (terms[a], terms[b])
+            yield "term order", 1, (a, b)
     for a in ranks:
-        missing = inside & ~out1[a] & -(1 << a)  # the ranks b >= a of elems outside a's row
+        missing = inside & ~out1[a] & -(1 << a)  # the ranks b >= a in inside but not in a's row
         if missing:
             for c in _bits(out1[a] & -(1 << a)):
                 for b in _bits(missing & ((2 << c) - 1)):
-                    yield "respect", 1, (terms[a], terms[b], terms[c])
+                    yield "respect", 1, (a, b, c)
     for a in ranks:
         middle = out1[a] & inside & ~out2[a]
         if middle:
             for c in _bits(out2[a]):
                 for b in _bits(middle & in1[c]):
-                    yield "respect", 2, (terms[a], terms[b], terms[c])
+                    yield "respect", 2, (a, b, c)
 
 
 _VIOLATION_NAMES = {

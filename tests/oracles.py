@@ -24,7 +24,7 @@ from patternforge import (
     isominimal,
     regressive_maps,
 )
-from patternforge.hierarchy import game_pass
+from patternforge.hierarchy import RoundStats, game_pass
 from patternforge.ordinals import parts_closure, split_parts, summands
 
 
@@ -430,6 +430,47 @@ def naive_game_round(carrier, rel1, rel2, snap1, snap2):
                 rel2.discard((alpha, beta))
                 pruned2 += 1
     return pruned1, pruned2
+
+
+def naive_structural_pass(elems, rel1, rel2):
+    """The build's structural pass on term sets: drop every strict pair
+    without indecomposable endpoints (the left one in le1, both in le2) and
+    every pair a failed clause of naive_clause_failures blames, all at once,
+    until nothing is dropped.  Returns the removed counts."""
+    removed = [0, 0]
+    while True:
+        drop = [
+            {(a, b) for a, b in rel if a != b and not (is_indecomposable(a) and (k == 1 or is_indecomposable(b)))}
+            for k, rel in ((1, rel1), (2, rel2))
+        ]
+        for clause, k, w in naive_clause_failures(elems, rel1, rel2):
+            if clause == "respect":
+                drop[k - 1].add((w[0], w[2]))
+            elif clause != "antisymmetric":
+                drop[k - 1].add(w[:2])
+        if not drop[0] and not drop[1]:
+            return tuple(removed)
+        for i, rel in enumerate((rel1, rel2)):
+            rel -= drop[i]
+            removed[i] += len(drop[i])
+
+
+def naive_build(carrier, top):
+    """build_hierarchy as a loop over sets of term pairs: from the full term
+    order, rounds of naive_game_round (every game played) against frozenset
+    snapshots, each followed by naive_structural_pass, until a round removes
+    nothing.  top is taken as it is."""
+    elems = carrier.elements
+    rel1 = {(a, b) for i, a in enumerate(elems) for b in elems[i:]}
+    rel2 = set(rel1)
+    log = []
+    while True:
+        snap1, snap2 = frozenset(rel1), frozenset(rel2)
+        games = naive_game_round(carrier, rel1, rel2, snap1, snap2)
+        structural = naive_structural_pass(elems, rel1, rel2)
+        log.append(RoundStats(*games, *structural))
+        if not any(games + structural):
+            return Hierarchy(carrier, top, frozenset(rel1), frozenset(rel2), tuple(log))
 
 
 def naive_clause_failures(elems, le1, le2):

@@ -1,21 +1,27 @@
+import re
+
 import pytest
 
 from patternforge import (
     Hierarchy,
     ONE,
     OMEGA,
+    OrdinalTerm,
     ZERO,
     build_hierarchy,
     check_hierarchy_axioms,
     closure,
+    format_term,
     is_indecomposable,
     le_inf,
     one_more_round,
     parse_term,
 )
-from patternforge.hierarchy import _game_round, game_pass, reduced_challenge
+from patternforge.hierarchy import _game_round, _structural_pass, game_pass, reduced_challenge
+from patternforge.patterns import _rows
 from patternforge import io as pfio
 from conftest import (
+    EXTRA,
     FORGE_CARRIERS,
     SHIPPED,
     built,
@@ -24,8 +30,8 @@ from conftest import (
     make_carrier,
     valid_hierarchies,
 )
-from hypothesis import given, settings, strategies as st
-from oracles import brute_le_inf, brute_validate, game_all_challenges, naive_game_round
+from hypothesis import assume, given, settings, strategies as st
+from oracles import brute_le_inf, brute_validate, game_all_challenges, naive_build, naive_game_round
 
 
 def t(s):
@@ -34,6 +40,22 @@ def t(s):
 
 def strict_pairs(H, k):
     return [(str(a), str(b)) for a, b in H.strict(k)]
+
+
+def on_rows(fn, carrier, rel1, rel2, *rest):
+    """Run fn, a round step of hierarchy that works on the build's rows, on
+    two sets of term pairs: the sets become rows over the carrier's ranks,
+    fn(carrier, rows, *rest) runs, and each set is then refilled with the
+    pairs its rows hold.  Returns fn's result."""
+    rank = carrier.index.rank
+    rows = tuple(map(list, _rows(rank, len(carrier), rel1, rel2)))
+    assert sum(map(int.bit_count, rows[0] + rows[2])) == len(rel1) + len(rel2)  # all inside
+    result = fn(carrier, rows, *rest)
+    elems = carrier.elements
+    for rel, out in ((rel1, rows[0]), (rel2, rows[2])):
+        rel.clear()
+        rel.update((x, y) for x, row in zip(elems, out) for y in elems if row >> rank[y] & 1)
+    return result
 
 
 # -- build examples -----------------------------------------------------------
@@ -102,8 +124,6 @@ def test_round_bound(name):
 
 @pytest.mark.parametrize("name", ["omega2", "big", "ladder"])
 def test_determinism_bit_exact(name):
-    from conftest import EXTRA
-
     H1 = built(name)
     top = (SHIPPED.get(name) or EXTRA[name])[1]
     H2 = build_hierarchy(make_carrier(name), t(top))
@@ -134,6 +154,89 @@ def test_growth_shrinks_strictly():
     large = closure([t("5"), t("w+w")])
     Hl = build_hierarchy(large, t("w^(2)"))
     assert (OMEGA, t("w+w")) not in Hl.le1
+
+
+# -- the build against a set-based loop that plays every game ----------------
+
+
+def ladder_hosts():
+    """The carriers {0, 1, w, ..., w^k}, k < 9, with top w^(k+1)."""
+    return [(closure(parse_term(f"w^({i})") for i in range(k + 1)), parse_term(f"w^({k + 1})")) for k in range(9)]
+
+
+def assert_build_matches_naive(carrier, top):
+    H, N = build_hierarchy(carrier, top), naive_build(carrier, top)
+    assert (H.le1, H.le2, H.build_log) == (N.le1, N.le2, N.build_log), [str(x) for x in carrier]
+
+
+def test_build_matches_naive_build_on_forged_carriers_ladders_and_hosts():
+    # rows, the inferred games and the rank-level clauses against a loop
+    # over term sets that plays every game, on every carrier family the
+    # suite names
+    far = parse_term("w^(w^(w))")
+    cases = [(c, far) for c in FORGE_CARRIERS] + ladder_hosts()
+    cases += [(make_carrier(name), built(name).top) for name in {**SHIPPED, **EXTRA}]
+    for carrier, top in cases:
+        assert_build_matches_naive(carrier, top)
+
+
+@st.composite
+def dense_carriers(draw, max_elements=14):
+    """The closure of a few sums of at most three summands with exponents
+    0, 1, 2 and w: carriers with many decomposable elements."""
+    exponents = [parse_term(e) for e in ("0", "1", "2", "w")]
+    gens = draw(st.lists(st.lists(st.sampled_from(exponents), min_size=1, max_size=3), min_size=1, max_size=4))
+    carrier = closure(OrdinalTerm(tuple(sorted(g, reverse=True))) for g in gens)
+    assume(len(carrier) <= max_elements)
+    return carrier
+
+
+@given(dense_carriers())
+@settings(max_examples=60, deadline=None)
+def test_build_matches_naive_build_on_dense_carriers(carrier):
+    assert_build_matches_naive(carrier, parse_term("w^(w+1)"))
+
+
+def test_build_hands_its_snapshot_rows_to_the_memo(monkeypatch):
+    # each round's snapshot rows go into the memo as a copy, so no game
+    # rebuilds them and later pruning of the live rows leaves them alone;
+    # the last snapshot is the hierarchy's own relations
+    import patternforge.hierarchy as hierarchy
+    import patternforge.patterns as patterns
+
+    handed = []
+    store = hierarchy._memo_store
+
+    def record(elements, le1, le2, rows):
+        handed.append((elements, le1, le2, rows, [list(r) for r in rows]))
+        return store(elements, le1, le2, rows)
+
+    rebuilt = []
+    monkeypatch.setattr(hierarchy, "_memo_store", record)
+    monkeypatch.setattr(patterns, "_rows", lambda *a: rebuilt.append(a) or _rows(*a))
+    for name in ("big", "ladder", "wide20", "wide25"):
+        handed.clear()
+        H = build_hierarchy(make_carrier(name), built(name).top)
+        assert len(handed) == len(H.build_log)
+        for elements, le1, le2, rows, at_hand in handed:
+            assert elements is H.carrier
+            assert list(rows) == at_hand == list(_rows(elements.index.rank, len(elements), le1, le2))
+        assert handed[-1][1] is H.le1 and handed[-1][2] is H.le2
+        assert patterns._memo_rows(H.carrier, H.le1, H.le2) is handed[-1][3]
+    assert rebuilt == []
+
+
+def test_one_more_round_rejects_pairs_outside_the_carrier(hierarchy_big):
+    # rows over carrier ranks cannot hold such a pair; it used to be dropped
+    H = hierarchy_big
+    outside = (OMEGA, t("w^(5)"))
+    for k in (1, 2):
+        rels = [H.le1, H.le2]
+        rels[k - 1] = rels[k - 1] | {outside}
+        forged = Hierarchy(H.carrier, H.top, *rels)
+        message = f"le{k} pair ({format_term(outside[0])}, {format_term(outside[1])}) leaves the carrier"
+        with pytest.raises(ValueError, match=re.escape(message)):
+            one_more_round(forged)
 
 
 # -- dominant-challenge reduction oracle --------------------------------------
@@ -195,7 +298,7 @@ def test_game_round_matches_playing_every_game(case):
     carrier, snap1, snap2 = case
     fast = set(snap1), set(snap2)
     slow = set(snap1), set(snap2)
-    counts = _game_round(carrier, *fast, snap1, snap2)
+    counts = on_rows(_game_round, carrier, *fast, snap1, snap2)
     assert counts == naive_game_round(carrier, *slow, snap1, snap2)
     assert fast == slow
 
@@ -248,6 +351,22 @@ def test_two_round_pass_implies_one_round_pass(window, case):
     passes1 = _strict_outcomes(1, case, window)
     passes2 = _strict_outcomes(2, case, window)
     assert all(passes1[key] for key, passed in passes2.items() if passed)
+
+
+@pytest.mark.parametrize("window", range(4))
+@given(forged_snapshots())
+@settings(max_examples=40, deadline=None)
+def test_decomposable_alpha_loses_every_game(window, case):
+    # (iii): the challenge keeps alpha and its summands, which lie below alpha
+    # and are pinned to themselves, so alpha is sent to itself, not below
+    # the ceiling alpha; 0 leaves no room below it
+    carrier, snap1, snap2 = case
+    elems = carrier.elements
+    for i, a in enumerate(elems):
+        if not is_indecomposable(a):
+            for b in elems[i + 1 :]:
+                for k in (1, 2):
+                    assert not game_pass(k, a, b, carrier, snap1, snap2, window=window), (k, str(a), str(b))
 
 
 def test_reduced_challenge_keeps_mandatory_parts():
@@ -432,62 +551,52 @@ def refl(elems):
 
 
 def test_structural_restores_inclusion():
-    from patternforge.hierarchy import _structural_pass
-
     carrier = closure([ONE])
     rel1 = set(refl(carrier))
     rel2 = set(refl(carrier)) | {(ZERO, ONE)}
-    _structural_pass(carrier, rel1, rel2)
+    on_rows(_structural_pass, carrier, rel1, rel2)
     assert (ZERO, ONE) not in rel2
 
 
 def test_structural_restores_respect_le1():
-    from patternforge.hierarchy import _structural_pass
-
     carrier = closure([ONE, OMEGA])
     rel1 = set(refl(carrier)) | {(ONE, t("w"))} | {(ZERO, t("w"))}
     rel2 = set(refl(carrier))
     # (0, w) skips 1; the long arc goes, the short one stays
-    _structural_pass(carrier, rel1, rel2)
+    on_rows(_structural_pass, carrier, rel1, rel2)
     assert (ZERO, OMEGA) not in rel1
     assert (ONE, OMEGA) in rel1
 
 
 def test_structural_restores_respect_le2():
-    from patternforge.hierarchy import _structural_pass
-
     carrier = closure([ONE, OMEGA, t("w^(2)")])
     w, w2 = OMEGA, t("w^(2)")
     rel1 = set(refl(carrier)) | {(ONE, w), (w, w2), (ONE, w2)}
     rel2 = set(refl(carrier)) | {(ONE, w2)}
     # 1 le1 w le1 w^2 with (1, w^2) in le2 but (1, w) not
-    _structural_pass(carrier, rel1, rel2)
+    on_rows(_structural_pass, carrier, rel1, rel2)
     assert (ONE, w2) not in rel2
     assert rel1 == set(refl(carrier)) | {(ONE, w), (w, w2), (ONE, w2)}
 
 
 def test_structural_restores_transitivity():
-    from patternforge.hierarchy import _structural_pass
-
     carrier = closure([ONE, OMEGA, t("w^(2)")])
     w, w2 = OMEGA, t("w^(2)")
     rel1 = set(refl(carrier)) | {(ONE, w), (w, w2)}
     rel2 = set(refl(carrier))
     # the missing composite caps the left element's reach
-    _structural_pass(carrier, rel1, rel2)
+    on_rows(_structural_pass, carrier, rel1, rel2)
     assert (ONE, w) not in rel1
     assert (w, w2) in rel1
 
 
 def test_structural_strict_indecomposability_clause():
-    from patternforge.hierarchy import _structural_pass
-
     carrier = closure([ONE, t("w+w")])
     w2 = t("w+w")
     rel1 = set(refl(carrier)) | {(OMEGA, w2)}
     rel2 = set(refl(carrier)) | {(OMEGA, w2)}
     # decomposable right endpoint survives in le1, never in le2
-    _structural_pass(carrier, rel1, rel2)
+    on_rows(_structural_pass, carrier, rel1, rel2)
     assert (OMEGA, w2) in rel1
     assert (OMEGA, w2) not in rel2
 
@@ -495,10 +604,8 @@ def test_structural_strict_indecomposability_clause():
 @given(forged_relations())
 @settings(max_examples=150, deadline=None)
 def test_pruning_leaves_valid_indecomposable_relations(case):
-    from patternforge.hierarchy import _structural_pass
-
     carrier, rel1, rel2 = case
-    _structural_pass(carrier, rel1, rel2)
+    on_rows(_structural_pass, carrier, rel1, rel2)
     assert brute_validate(carrier.elements, rel1, rel2)
     for a, b in rel1:
         assert a == b or is_indecomposable(a)
