@@ -26,7 +26,7 @@ from .ordinals import (
 )
 from .patterns import Pattern, is_closed_substructure
 
-Assignment = Dict[OrdinalTerm, OrdinalTerm]
+Assignment = dict[OrdinalTerm, OrdinalTerm]
 
 
 @dataclass(frozen=True)

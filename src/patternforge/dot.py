@@ -7,14 +7,14 @@ so output is stable for fixed input.
 
 from __future__ import annotations
 
-from typing import Iterable, Set, Tuple, Union
+from typing import Iterable, Set, Union
 
 from .cores import Core
 from .hierarchy import Hierarchy
 from .ordinals import OrdinalTerm, format_term
 from .patterns import Pattern, restrict_relation
 
-Pair = Tuple[OrdinalTerm, OrdinalTerm]
+Pair = tuple[OrdinalTerm, OrdinalTerm]
 
 
 def _transitive_reduction(pairs: Iterable[Pair]) -> Set[Pair]:

@@ -21,7 +21,10 @@ sends one summand to two places admits nothing.  Each relation is held as
 bitset rows, one Python int per rank for the pairs leaving it and one for
 the pairs entering it, so preservation is a bit test per related pair; the
 pairs with elements already sent to their own rank (the pinned part of a
-game's challenge) take one mask test per row.
+game's challenge) take one mask test per row.  On shared rows the leading
+indecomposables pinned to their own ranks, with the elements they lead,
+are placed before the search branches: each has one candidate, and a pair
+of elements sent to their own ranks is a pair of the target's rows.
 
 A source that uses the target's own relation objects and lies inside its
 carrier (every game the hierarchy plays) is searched on the target's ranks
@@ -46,8 +49,8 @@ from typing import Dict, FrozenSet, Iterator, Mapping, Optional, Tuple
 from .ordinals import ClosedSet, OrdinalTerm, ZERO
 from .patterns import _memo_rows
 
-Pair = Tuple[OrdinalTerm, OrdinalTerm]
-Assignment = Dict[OrdinalTerm, OrdinalTerm]
+Pair = tuple[OrdinalTerm, OrdinalTerm]
+Assignment = dict[OrdinalTerm, OrdinalTerm]
 
 
 @dataclass(frozen=True)
@@ -215,7 +218,21 @@ def search_embeddings(
             same = 1 << zero
         else:
             moved = 1 << zero
-    yield from extend(0)
+    # A leading run of indecomposables pinned to their own ranks (the pins
+    # of a game) has one candidate each and sends its groups to their own
+    # ranks, whose pairs the shared rows hold by definition; it is placed
+    # here, not one generator level each, while floors and ceiling admit it.
+    j = 0
+    while shared and j < len(indecs):
+        i = indecs[j]
+        if pins.get(i) != i or floors.get(i, 0) > i or groups[i][-1] >= ceiling:
+            break
+        for x in groups[i]:
+            image[x] = x
+            completed.append(x)
+            same |= 1 << x
+        j += 1
+    yield from extend(j)
 
 
 def first_embedding(

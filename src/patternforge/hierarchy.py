@@ -64,14 +64,18 @@ over split-part ranks, and the pins and the backward source are prefixes of
 the challenge and of the carrier.  Every game of a round hands the search
 the same snapshot frozensets, unrestricted, as both the challenge's and the
 carrier's relations, so the search reads the memoized snapshot rows for
-both (see embedding).  Hierarchy.target_spec passes the built relations
-themselves, so all coverings into one hierarchy share one set of rows.
+both (see embedding).  A pair's two-round game starts from the witness of
+its one-round game, played just before on the same snapshot, instead of
+searching for it again (see game_pass).  Hierarchy.target_spec passes the
+built relations themselves, so all coverings into one hierarchy share one
+set of rows.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import chain, islice
 from typing import FrozenSet, Iterable, List, Optional, Tuple
 
 from .embedding import SearchLimits, SourceSpec, TargetSpec, first_embedding, search_embeddings
@@ -94,7 +98,7 @@ from .patterns import (
     restrict_relation,
 )
 
-Pair = Tuple[OrdinalTerm, OrdinalTerm]
+Pair = tuple[OrdinalTerm, OrdinalTerm]
 Rows = Tuple[List[int], List[int], List[int], List[int]]  # out1, in1, out2, in2
 
 BUILD_WINDOW = 1
@@ -167,6 +171,14 @@ def reduced_challenge(
     return tuple(x for x, k in zip(carrier.elements, kept) if k)
 
 
+# The one-round game that passed last, with its witness.  The round plays a
+# pair's two-round game right after its one-round game, and that game's
+# search, on the same arguments, yields the same witness first.  The entry
+# holds the carrier and relations alive, so they are compared by identity;
+# games with an explicit challenge or mutable relations are never recorded.
+_last_witness: list = [None]
+
+
 def game_pass(
     k: int,
     alpha: OrdinalTerm,
@@ -193,6 +205,11 @@ def game_pass(
     their restriction to it: the search only asks about pairs of challenge
     elements, and sharing the target's relation objects lets it use the
     target's memoized rows.
+
+    A two-round game played right after a passing one-round game on the same
+    arguments, as a round plays a pair's games, tries that game's witness
+    first: its own forward search would yield the same witness first, so
+    only a failed backward check makes it search, from the second witness.
     """
     if alpha == beta:
         return True
@@ -212,14 +229,23 @@ def game_pass(
     below_alpha = elements[: bisect_left(elements, a, key=index.rank.__getitem__)]
     pins = {x: x for x in below_alpha if is_indecomposable(x)}
     limits = SearchLimits(pinned=pins, ceiling=alpha, moved_floor=moved_floor)
+    game = (alpha, beta, window, moved_floor)
+    reusable = challenge is None and isinstance(rel1, frozenset) and isinstance(rel2, frozenset)
     if k == 1:
-        return first_embedding(source, target, limits) is not None
+        h = first_embedding(source, target, limits)
+        _last_witness[0] = (carrier, rel1, rel2, game, h) if h is not None and reusable else None
+        return h is not None
 
     # Two-round game: some forward witness must admit a backward map defined
     # on the whole carrier segment below alpha, inverting it on the challenge.
     back_source = SourceSpec(elements=carrier.elements[:a], le1=rel1, le2=rel2)
     indecs = [x for x in elements if is_indecomposable(x)]
-    for h in search_embeddings(source, target, limits):
+    witnesses = search_embeddings(source, target, limits)
+    last = _last_witness[0]
+    same = last is not None and last[0] is carrier and last[1] is rel1 and last[2] is rel2
+    if reusable and same and last[3] == game:
+        witnesses = chain([last[4]], islice(witnesses, 1, None))  # the same first
+    for h in witnesses:
         back_limits = SearchLimits(pinned={h[i]: i for i in indecs}, ceiling=beta)
         if first_embedding(back_source, target, back_limits) is not None:
             return True

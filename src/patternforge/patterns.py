@@ -38,7 +38,7 @@ from .ordinals import (
     missing_parts,
 )
 
-Pair = Tuple[OrdinalTerm, OrdinalTerm]
+Pair = tuple[OrdinalTerm, OrdinalTerm]
 
 
 @dataclass(frozen=True)

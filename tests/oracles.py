@@ -24,6 +24,7 @@ from patternforge import (
     isominimal,
     regressive_maps,
 )
+from patternforge.embedding import SearchLimits, SourceSpec, TargetSpec
 from patternforge.hierarchy import RoundStats, game_pass
 from patternforge.ordinals import parts_closure, split_parts, summands
 
@@ -266,6 +267,32 @@ def game_all_challenges(k, alpha, beta, H: Hierarchy, window=1, moved_floor=None
         ):
             return False
     return True
+
+
+def brute_game(k, alpha, beta, carrier, rel1, rel2, window=1, moved_floor=None) -> bool:
+    """The k-round game of (alpha, beta) by its definition, with
+    brute_embeddings for every search.  The challenge is everything below
+    beta less the top window of the carrier below alpha, closed again; it
+    must embed below alpha with its indecomposables below alpha pinned to
+    themselves.  For k = 2 one such embedding h must also admit a backward
+    embedding of the whole carrier below alpha below beta that sends h(i)
+    back to i for every indecomposable i of the challenge."""
+    if alpha == beta:
+        return True
+    below_alpha = [c for c in carrier if c < beta and c < alpha]
+    zone = set(below_alpha[-window:]) if window > 0 else set()
+    challenge = tuple(sorted(parts_closure({c for c in carrier if c < beta} - zone)))
+    indecs = [x for x in challenge if is_indecomposable(x)]
+    target = TargetSpec(carrier, rel1, rel2)
+    limits = SearchLimits(pinned={x: x for x in indecs if x < alpha}, ceiling=alpha, moved_floor=moved_floor)
+    forward = brute_embeddings(SourceSpec(challenge, rel1, rel2), target, limits)
+    if k == 1:
+        return bool(forward)
+    back = SourceSpec(tuple(c for c in carrier if c < alpha), rel1, rel2)
+    return any(
+        brute_embeddings(back, target, SearchLimits(pinned={h[i]: i for i in indecs}, ceiling=beta))
+        for h in forward
+    )
 
 
 def brute_le_inf(k, alpha, beta, H: Hierarchy, window=1) -> bool:

@@ -17,6 +17,7 @@ from patternforge import (
     one_more_round,
     parse_term,
 )
+from patternforge import hierarchy as hierarchy_module
 from patternforge.hierarchy import _game_round, _structural_pass, game_pass, reduced_challenge
 from patternforge.patterns import _rows
 from patternforge import io as pfio
@@ -31,7 +32,7 @@ from conftest import (
     valid_hierarchies,
 )
 from hypothesis import assume, given, settings, strategies as st
-from oracles import brute_le_inf, brute_validate, game_all_challenges, naive_build, naive_game_round
+from oracles import brute_game, brute_le_inf, brute_validate, game_all_challenges, naive_build, naive_game_round
 
 
 def t(s):
@@ -293,7 +294,8 @@ def test_single_challenge_equality_on_initial_relations():
 @given(forged_snapshots())
 @settings(max_examples=150, deadline=None)
 def test_game_round_matches_playing_every_game(case):
-    # the round skips games whose outcome (i) or (ii) already decides; on any
+    # the round skips games whose outcome (i), (ii) or (iii) already decides,
+    # and a one-round game once the pair's two-round game passes; on any
     # snapshot, valid or not, it must prune exactly what playing them all does
     carrier, snap1, snap2 = case
     fast = set(snap1), set(snap2)
@@ -367,6 +369,93 @@ def test_decomposable_alpha_loses_every_game(window, case):
             for b in elems[i + 1 :]:
                 for k in (1, 2):
                     assert not game_pass(k, a, b, carrier, snap1, snap2, window=window), (k, str(a), str(b))
+
+
+@pytest.mark.parametrize("window", range(3))
+@given(forged_snapshots(max_elements=8))
+@settings(max_examples=20, deadline=None)
+def test_game_pass_matches_brute_game(window, case):
+    # each pair's two-round game right after its one-round game, as a round
+    # plays them, so the two-round game starts from the one-round witness;
+    # the search places the self-pinned part of a challenge without
+    # branching; neither may change what the game, played by brute force,
+    # decides
+    carrier, snap1, snap2 = case
+    elems = carrier.elements
+    for floor in (None, elems[len(elems) // 2]):
+        for i, a in enumerate(elems):
+            for b in elems[i + 1 :]:
+                for k in (1, 2):
+                    fast = game_pass(k, a, b, carrier, snap1, snap2, window=window, moved_floor=floor)
+                    slow = brute_game(k, a, b, carrier, snap1, snap2, window=window, moved_floor=floor)
+                    assert fast == slow, (k, str(a), str(b), str(floor))
+
+
+def test_game_pass_matches_brute_game_on_full_orders():
+    # a round's first snapshot, where most games pass
+    for carrier in FORGE_CARRIERS:
+        elems = carrier.elements
+        full = frozenset((a, b) for a in elems for b in elems if a <= b)
+        for i, a in enumerate(elems):
+            for b in elems[i + 1 :]:
+                for k in (1, 2):
+                    assert game_pass(k, a, b, carrier, full, full) == brute_game(k, a, b, carrier, full, full)
+
+
+def test_two_round_game_starts_from_the_one_round_witness(monkeypatch):
+    # on 0 < 1 < w < w^2 < w^3 both games of (w, w^2) pass; played right
+    # after the one-round game, the two-round game takes its witness, the
+    # first its own search would yield, and searches no further
+    carrier = closure(t(f"w^({i})") for i in range(4))
+    elems = carrier.elements
+    full = frozenset((a, b) for a in elems for b in elems if a <= b)
+    searched = []
+    search = hierarchy_module.search_embeddings
+
+    def recording(*args):
+        for h in search(*args):
+            searched.append(h)
+            yield h
+
+    monkeypatch.setattr(hierarchy_module, "search_embeddings", recording)
+    pair = OMEGA, t("w^(2)")
+    assert game_pass(1, *pair, carrier, full, full)
+    assert game_pass(2, *pair, carrier, full, full)
+    assert searched == []
+    # another game in between: the two-round game searches for itself
+    game_pass(1, t("w^(2)"), t("w^(3)"), carrier, full, full)
+    assert game_pass(2, *pair, carrier, full, full)
+    assert len(searched) == 1
+
+
+def test_two_round_game_takes_no_witness_found_on_other_relations():
+    # without (0, 1) the challenge {0, w} of (w, w^2) has nowhere to go; a
+    # witness found before the pair left the relations must not be reused,
+    # whether the relations are another frozenset or a set changed in place
+    carrier = closure(t(f"w^({i})") for i in range(4))
+    elems = carrier.elements
+    full = {(a, b) for a in elems for b in elems if a <= b}
+    pair = OMEGA, t("w^(2)")
+    assert game_pass(1, *pair, carrier, frozenset(full), frozenset(full))
+    less = frozenset(full - {(ZERO, ONE)})
+    assert not game_pass(2, *pair, carrier, less, less)
+    assert game_pass(1, *pair, carrier, full, full)
+    full.discard((ZERO, ONE))
+    assert not game_pass(2, *pair, carrier, full, full)
+    assert not brute_game(2, *pair, carrier, full, full)
+
+
+def test_two_round_game_goes_on_past_a_reused_witness():
+    # window 2 on 0 < 1 < w < w^2 < w^3: the challenge {0, w^2} of (w^2, w^3)
+    # goes to 1 first, which leaves w no image on the way back, and then to
+    # w, which has a backward map
+    carrier = closure(t(f"w^({i})") for i in range(4))
+    elems = carrier.elements
+    full = frozenset((a, b) for a in elems for b in elems if a <= b)
+    pair = t("w^(2)"), t("w^(3)")
+    assert game_pass(1, *pair, carrier, full, full, window=2)
+    assert game_pass(2, *pair, carrier, full, full, window=2)
+    assert brute_game(2, *pair, carrier, full, full, window=2)
 
 
 def test_reduced_challenge_keeps_mandatory_parts():
